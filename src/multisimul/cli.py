@@ -12,11 +12,13 @@ from typing import Sequence
 from . import metrics, noise
 from .corpus import (
     TokenSequence,
+    _read_lines,
     load_parallel,
     load_transcript_pairs,
     load_word_alignment,
 )
 from .errors import (
+    AlignmentMismatchError,
     ConfigError,
     ContractError,
     EngineError,
@@ -33,35 +35,41 @@ __all__ = ["main"]
 RESULT_HEADER = ("system", "la_n", "seed", "bleu", "chrf2", "al", "ne")
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8").replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n") if text else []
-
-
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     hyps = _read_lines(args.hyps)
-    refs = [_read_lines(p) for p in args.refs]
-    rows = [
-        ("bleu", f"{metrics.bleu(hyps, refs):.4f}"),
-        ("chrf2", f"{metrics.chrf2(hyps, refs):.4f}"),
-    ]
+    refs = [_read_lines(path) for path in args.refs]
+    parallel = list(zip(args.refs, refs))
     if args.compare is not None:
         sys_b = _read_lines(args.compare)
-        for metric in ("bleu", "chrf2"):
-            result = metrics.paired_bootstrap(
+        parallel.append((args.compare, sys_b))
+    for path, lines in parallel:
+        if len(lines) != len(hyps):
+            raise AlignmentMismatchError(
+                f"line-count mismatch: {args.hyps} has {len(hyps)} lines but "
+                f"{path} has {len(lines)}"
+            )
+    if args.compare is None:
+        scores = {"bleu": metrics.bleu(hyps, refs), "chrf2": metrics.chrf2(hyps, refs)}
+        p_rows = []
+    else:
+        # the bootstrap's own statistics also give system A's corpus scores
+        results = {
+            metric: metrics.paired_bootstrap(
                 hyps, sys_b, refs, metric=metric,
                 resamples=args.resamples, seed=args.seed,
             )
-            rows.append(
-                (f"{metric}_bootstrap_p", f"{result.p_value:.4f}", str(result.seed))
-            )
-    for row in rows:
+            for metric in ("bleu", "chrf2")
+        }
+        scores = {metric: result.score_a for metric, result in results.items()}
+        p_rows = [
+            (f"{metric}_bootstrap_p", f"{result.p_value:.4f}", str(result.seed))
+            for metric, result in results.items()
+        ]
+    for row in [(metric, f"{score:.4f}") for metric, score in scores.items()] + p_rows:
         print("\t".join(row))
     return 0
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from fractions import Fraction
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +39,7 @@ Tokens = Union[TokenSequence, Sequence[str]]
 
 BLEU_ORDER = 4
 CHRF_ORDER = 6
-CHRF_BETA = 2.0
+CHRF_BETA = 2
 
 COPY = "copy"
 SUBSTITUTE = "sub"
@@ -235,47 +236,56 @@ def chi_square_2x2(table: Contingency2x2, *, yates: bool = False) -> ChiSquareRe
     return ChiSquareResult(statistic, p_value)
 
 
-def _ngram_counts(tokens: list[str], order: int) -> Counter:
-    counts: Counter = Counter()
-    for n in range(1, order + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
+def _ngram_counts(seq: Sequence, order: int) -> list[Counter]:
+    """One Counter per n = 1..order of the n-grams of ``seq``, keyed by item tuples."""
+    return [Counter(zip(*[seq[k:] for k in range(n)])) for n in range(1, order + 1)]
 
 
-def _bleu_sentence_stats(
-    hyp: str, refs: Sequence[str]
-) -> tuple[list[int], list[int], int, int]:
-    """(correct[4], total[4], sys_len, closest_ref_len) for one segment."""
-    hyp_tokens = list(tokenize_13a(hyp).tokens)
-    ref_token_lists = [list(tokenize_13a(r).tokens) for r in refs]
-
-    closest_len = None
-    closest_diff = None
-    ref_ngrams: Counter = Counter()
-    for ref_tokens in ref_token_lists:
-        diff = abs(len(hyp_tokens) - len(ref_tokens))
-        if closest_diff is None or diff < closest_diff or (
-            diff == closest_diff and len(ref_tokens) < closest_len
-        ):
-            closest_diff = diff
-            closest_len = len(ref_tokens)
-        for ngram, count in _ngram_counts(ref_tokens, BLEU_ORDER).items():
-            ref_ngrams[ngram] = max(ref_ngrams[ngram], count)
-
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    for ngram, count in _ngram_counts(hyp_tokens, BLEU_ORDER).items():
-        n = len(ngram)
-        total[n - 1] += count
-        correct[n - 1] += min(count, ref_ngrams.get(ngram, 0))
-    return correct, total, len(hyp_tokens), closest_len
+def _matches(hyp: Counter, ref: Counter) -> int:
+    """Clipped matches: the smaller count of every n-gram the two share."""
+    shared = hyp.keys() & ref.keys()
+    return sum(map(min, map(hyp.__getitem__, shared), map(ref.__getitem__, shared)))
 
 
-def _bleu_from_stats(
-    correct: Sequence[int], total: Sequence[int], sys_len: int, ref_len: int
-) -> float:
-    """Corpus BLEU from summed statistics, exponential smoothing, fixed order 4."""
+# Per-segment sufficient statistics. Each metric has a reference side, built
+# once per segment and shared by every system scored against it, and a row
+# builder that turns one hypothesis into an int64 row:
+#   BLEU  (2 * BLEU_ORDER + 2): correct[4], total[4], sys_len, closest_ref_len
+#   chrF2 (3 * CHRF_ORDER): (hyp, ref, match) n-gram counts for each order
+
+
+def _bleu_ref_side(refs: Sequence[str]) -> tuple[list[int], list[Counter]]:
+    """13a token counts of a segment's references and their max-clipped n-grams."""
+    lengths: list[int] = []
+    clip: list[Counter] = []
+    for ref in refs:
+        tokens = tokenize_13a(ref).tokens
+        lengths.append(len(tokens))
+        counts = _ngram_counts(tokens, BLEU_ORDER)
+        if not clip:
+            clip = counts
+        else:
+            for kept, new in zip(clip, counts):
+                kept |= new
+    return lengths, clip
+
+
+def _bleu_row(hyp: str, ref_side: tuple[list[int], list[Counter]]) -> list[int]:
+    ref_lengths, clip = ref_side
+    tokens = tokenize_13a(hyp).tokens
+    sys_len = len(tokens)
+    # closest reference length; the shorter one wins a tie
+    closest = min(ref_lengths, key=lambda r: (abs(sys_len - r), r))
+    correct = [_matches(h, r) for h, r in zip(_ngram_counts(tokens, BLEU_ORDER), clip)]
+    total = [max(sys_len - k, 0) for k in range(BLEU_ORDER)]
+    return [*correct, *total, sys_len, closest]
+
+
+def _bleu_from_stats(stats: Sequence[int]) -> float:
+    """Corpus BLEU from a summed BLEU row, exponential smoothing, fixed order 4."""
+    correct = stats[:BLEU_ORDER]
+    total = stats[BLEU_ORDER : 2 * BLEU_ORDER]
+    sys_len, ref_len = stats[2 * BLEU_ORDER], stats[2 * BLEU_ORDER + 1]
     log_precisions = 0.0
     smooth = 1.0
     for n in range(1, BLEU_ORDER + 1):
@@ -293,52 +303,46 @@ def _bleu_from_stats(
     return brevity_penalty * math.exp(log_precisions / BLEU_ORDER)
 
 
-def _check_corpus_args(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> None:
-    if not refs:
-        raise ContractError("at least one reference set is required")
-    for i, ref_set in enumerate(refs):
-        if len(ref_set) != len(hyps):
-            raise ContractError(
-                f"reference set {i} has {len(ref_set)} segments, expected {len(hyps)}"
-            )
+def _chrf_ref_side(refs: Sequence[str]) -> list[tuple[int, list[Counter]]]:
+    """Whitespace-free length and character n-grams of each reference."""
+    side = []
+    for ref in refs:
+        chars = "".join(ref.split())
+        side.append((len(chars), _ngram_counts(chars, CHRF_ORDER)))
+    return side
 
 
-def bleu(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
-    """Corpus-level 4-gram BLEU, 13a tokenization, exponential smoothing.
-
-    ``refs`` is a list of reference sets, each parallel to ``hyps``. Brevity
-    penalty uses the closest reference length per segment.
-    """
-    _check_corpus_args(hyps, refs)
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    sys_len = 0
-    ref_len = 0
-    for i, hyp in enumerate(hyps):
-        c, t, s, r = _bleu_sentence_stats(hyp, [ref_set[i] for ref_set in refs])
-        for n in range(BLEU_ORDER):
-            correct[n] += c[n]
-            total[n] += t[n]
-        sys_len += s
-        ref_len += r
-    return _bleu_from_stats(correct, total, sys_len, ref_len)
+def _chrf_row(hyp: str, ref_side: list[tuple[int, list[Counter]]]) -> list[int]:
+    """chrF2 row against the best reference; the first wins an exact tie."""
+    chars = "".join(hyp.split())
+    counts = _ngram_counts(chars, CHRF_ORDER)
+    best: list[int] = []
+    best_score = Fraction(-1)
+    for ref_len, ref_counts in ref_side:
+        stats: list[int] = []
+        for k, (h, r) in enumerate(zip(counts, ref_counts)):
+            stats += (max(len(chars) - k, 0), max(ref_len - k, 0), _matches(h, r))
+        if len(ref_side) == 1:
+            return stats
+        score = _chrf_exact(stats)
+        if score > best_score:
+            best, best_score = stats, score
+    return best
 
 
-def _char_ngram_counts(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
-def _chrf_pair_stats(hyp: str, ref: str) -> list[int]:
-    """Flattened [hyp_ngrams, ref_ngrams, matches] per order, whitespace removed."""
-    hyp = "".join(hyp.split())
-    ref = "".join(ref.split())
-    stats: list[int] = []
-    for n in range(1, CHRF_ORDER + 1):
-        hyp_counts = _char_ngram_counts(hyp, n)
-        ref_counts = _char_ngram_counts(ref, n)
-        match = sum((hyp_counts & ref_counts).values())
-        stats.extend((sum(hyp_counts.values()), sum(ref_counts.values()), match))
-    return stats
+def _chrf_exact(stats: Sequence[int]) -> Fraction:
+    """Sentence chrF as an exact fraction of 1, so that equal candidates tie."""
+    score = Fraction(0)
+    effective_order = 0
+    for i in range(CHRF_ORDER):
+        n_hyp, n_ref, n_match = stats[3 * i : 3 * i + 3]
+        if n_hyp == 0 and n_ref == 0:
+            continue
+        # (1 + b^2) P R / (b^2 P + R) with P = m / hyp and R = m / ref
+        if n_match > 0:
+            score += Fraction((1 + CHRF_BETA**2) * n_match, CHRF_BETA**2 * n_ref + n_hyp)
+        effective_order += 1
+    return score / effective_order if effective_order else score
 
 
 def _chrf_from_stats(stats: Sequence[int]) -> float:
@@ -361,29 +365,68 @@ def _chrf_from_stats(stats: Sequence[int]) -> float:
     return 100.0 * score / effective_order
 
 
-def _chrf_sentence_stats(hyp: str, refs: Sequence[str]) -> list[int]:
-    # with multiple references, keep the statistics of the best-scoring one
-    best_stats = None
-    best_score = -1.0
-    for ref in refs:
-        stats = _chrf_pair_stats(hyp, ref)
-        score = _chrf_from_stats(stats)
-        if score > best_score:
-            best_score = score
-            best_stats = stats
-    assert best_stats is not None
-    return best_stats
+class _StatsCore(NamedTuple):
+    ref_side: Callable[[Sequence[str]], Any]
+    row: Callable[[str, Any], list[int]]
+    width: int
+    score: Callable[[Sequence[int]], float]  # corpus score from a summed row
+
+
+_METRICS = {
+    "bleu": _StatsCore(_bleu_ref_side, _bleu_row, 2 * BLEU_ORDER + 2, _bleu_from_stats),
+    "chrf2": _StatsCore(_chrf_ref_side, _chrf_row, 3 * CHRF_ORDER, _chrf_from_stats),
+}
+
+
+def _check_corpus_args(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> None:
+    if not refs:
+        raise ContractError("at least one reference set is required")
+    for i, ref_set in enumerate(refs):
+        if len(ref_set) != len(hyps):
+            raise ContractError(
+                f"reference set {i} has {len(ref_set)} segments, expected {len(hyps)}"
+            )
+
+
+def _stats_matrices(
+    systems: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], metric: str
+) -> list[np.ndarray]:
+    """One (segments x stats) int64 matrix per system, in one pass over the segments.
+
+    A segment's reference side is built once, shared by all systems and
+    dropped after the segment, so memory does not grow with the references.
+    """
+    core = _METRICS[metric]
+    rows: list[list[int]] = [[] for _ in systems]
+    for i in range(len(systems[0])):
+        side = core.ref_side([ref_set[i] for ref_set in refs])
+        for out, hyps in zip(rows, systems):
+            out.extend(core.row(hyps[i], side))
+    return [np.array(out, dtype=np.int64).reshape(-1, core.width) for out in rows]
+
+
+def _corpus_score(hyps: Sequence[str], refs: Sequence[Sequence[str]], metric: str) -> float:
+    _check_corpus_args(hyps, refs)
+    (stats,) = _stats_matrices([hyps], refs, metric)
+    return _METRICS[metric].score(stats.sum(axis=0).tolist())
+
+
+def bleu(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
+    """Corpus-level 4-gram BLEU, 13a tokenization, exponential smoothing.
+
+    ``refs`` is a list of reference sets, each parallel to ``hyps``. Brevity
+    penalty uses the closest reference length per segment.
+    """
+    return _corpus_score(hyps, refs, "bleu")
 
 
 def chrf2(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
-    """Corpus chrF2: character n-grams to order 6, no word n-grams, beta=2."""
-    _check_corpus_args(hyps, refs)
-    totals = [0] * (3 * CHRF_ORDER)
-    for i, hyp in enumerate(hyps):
-        stats = _chrf_sentence_stats(hyp, [ref_set[i] for ref_set in refs])
-        for k, v in enumerate(stats):
-            totals[k] += v
-    return _chrf_from_stats(totals)
+    """Corpus chrF2: character n-grams to order 6, no word n-grams, beta=2.
+
+    With several references each segment counts against its best one by
+    exact sentence chrF; the first reference wins a tie.
+    """
+    return _corpus_score(hyps, refs, "chrf2")
 
 
 @dataclass(frozen=True)
@@ -460,9 +503,13 @@ class BootstrapResult:
     ties: int
     resamples: int
     seed: int
+    score_a: float
+    score_b: float
 
 
-_BOOTSTRAP_METRICS = {"bleu", "chrf2"}
+# bootstrap draws per block (resamples x segments): the index and count
+# matrices of one block take 2 MiB each, whatever the corpus size
+_BOOTSTRAP_BLOCK_DRAWS = 1 << 18
 
 
 def paired_bootstrap(
@@ -478,65 +525,46 @@ def paired_bootstrap(
 
     The p-value is the fraction of resamples where system B scores at least
     as high as system A, with exact ties counted as one half so that two
-    statistically equivalent systems land near 0.5.
+    statistically equivalent systems land near 0.5. ``score_a``/``score_b``
+    are the full-corpus scores from the same statistics.
+
+    Resample ``r`` draws its ``n`` segment indices as row ``r`` of
+    ``default_rng(seed).integers(0, n, size=(resamples, n))``; draws are made
+    in blocks of rows, which gives the same stream.
     """
-    if metric not in _BOOTSTRAP_METRICS:
-        raise ContractError(f"unknown metric {metric!r}; choose from {_BOOTSTRAP_METRICS}")
+    if metric not in _METRICS:
+        raise ContractError(f"unknown metric {metric!r}; choose from {sorted(_METRICS)}")
     if len(sys_a) != len(sys_b):
         raise ContractError("system outputs must have equal segment counts")
     _check_corpus_args(sys_a, refs)
     if resamples < 100:
         raise ContractError("resamples must be at least 100")
-
     n = len(sys_a)
-    if metric == "bleu":
-        stats_a = np.array(
-            [np.concatenate(_flat_bleu(sys_a[i], refs, i)) for i in range(n)]
-        )
-        stats_b = np.array(
-            [np.concatenate(_flat_bleu(sys_b[i], refs, i)) for i in range(n)]
-        )
-        score = _bleu_score_from_flat
-    else:
-        stats_a = np.array(
-            [_chrf_sentence_stats(sys_a[i], [r[i] for r in refs]) for i in range(n)],
-            dtype=np.int64,
-        )
-        stats_b = np.array(
-            [_chrf_sentence_stats(sys_b[i], [r[i] for r in refs]) for i in range(n)],
-            dtype=np.int64,
-        )
-        score = _chrf_from_stats
+    if n == 0:
+        raise ContractError("paired bootstrap needs at least one segment")
 
+    stats_a, stats_b = _stats_matrices([sys_a, sys_b], refs, metric)
+    score = _METRICS[metric].score
     rng = np.random.default_rng(seed)
+    block = max(1, _BOOTSTRAP_BLOCK_DRAWS // n)
     wins_a = wins_b = ties = 0
-    for _ in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        score_a = score(stats_a[idx].sum(axis=0))
-        score_b = score(stats_b[idx].sum(axis=0))
-        if score_a > score_b:
-            wins_a += 1
-        elif score_b > score_a:
-            wins_b += 1
-        else:
-            ties += 1
+    for done in range(0, resamples, block):
+        rows = min(block, resamples - done)
+        idx = rng.integers(0, n, size=(rows, n))
+        idx += np.arange(0, rows * n, n)[:, None]
+        # counts[r, i]: how often resample r drew segment i
+        counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        for sums_a, sums_b in zip((counts @ stats_a).tolist(), (counts @ stats_b).tolist()):
+            score_a = score(sums_a)
+            score_b = score(sums_b)
+            if score_a > score_b:
+                wins_a += 1
+            elif score_b > score_a:
+                wins_b += 1
+            else:
+                ties += 1
     p_value = (wins_b + 0.5 * ties) / resamples
-    return BootstrapResult(p_value, wins_a, wins_b, ties, resamples, seed)
-
-
-def _flat_bleu(hyp: str, refs: Sequence[Sequence[str]], i: int) -> tuple:
-    correct, total, sys_len, ref_len = _bleu_sentence_stats(
-        hyp, [ref_set[i] for ref_set in refs]
+    return BootstrapResult(
+        p_value, wins_a, wins_b, ties, resamples, seed,
+        score(stats_a.sum(axis=0).tolist()), score(stats_b.sum(axis=0).tolist()),
     )
-    return (
-        np.array(correct, dtype=np.int64),
-        np.array(total, dtype=np.int64),
-        np.array([sys_len, ref_len], dtype=np.int64),
-    )
-
-
-def _bleu_score_from_flat(flat: np.ndarray) -> float:
-    correct = flat[:BLEU_ORDER]
-    total = flat[BLEU_ORDER : 2 * BLEU_ORDER]
-    sys_len, ref_len = int(flat[-2]), int(flat[-1])
-    return _bleu_from_stats([int(x) for x in correct], [int(x) for x in total], sys_len, ref_len)

@@ -106,6 +106,20 @@ class TestScore:
         assert len(p_rows) == 1
         assert 0.3 <= float(p_rows[0].split("\t")[1]) <= 0.7
 
+    def test_compare_scores_equal_plain_scores(self, tmp_path, capsys):
+        _write(tmp_path / "hyp.txt", CS_LINES[:3] + ["c09 c02"])
+        _write(tmp_path / "ref.txt", CS_LINES)
+        _write(tmp_path / "other.txt", CS_LINES[1:] + ["c01"])
+        argv = ["score", "--hyps", str(tmp_path / "hyp.txt"), "--refs", str(tmp_path / "ref.txt")]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--compare", str(tmp_path / "other.txt")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == plain
+        assert [line.split("\t")[0] for line in lines[2:]] == [
+            "bleu_bootstrap_p", "chrf2_bootstrap_p",
+        ]
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(
             ["score", "--hyps", str(tmp_path / "nope.txt"), "--refs", str(tmp_path / "nope.txt")]
@@ -118,7 +132,34 @@ class TestScore:
         code = main(
             ["score", "--hyps", str(tmp_path / "hyp.txt"), "--refs", str(tmp_path / "ref.txt")]
         )
-        assert code == 4
+        assert code == 2
+        assert "line-count mismatch" in capsys.readouterr().err
+
+    def test_compare_length_mismatch_exit_code(self, tmp_path, capsys):
+        _write(tmp_path / "hyp.txt", CS_LINES)
+        _write(tmp_path / "ref.txt", CS_LINES)
+        _write(tmp_path / "other.txt", CS_LINES[:-1])
+        code = main(
+            [
+                "score",
+                "--hyps", str(tmp_path / "hyp.txt"),
+                "--refs", str(tmp_path / "ref.txt"),
+                "--compare", str(tmp_path / "other.txt"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "other.txt has 3" in captured.err
+        assert captured.out == ""
+
+    def test_bad_utf8_exit_code(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_bytes(b"c01 c02\n\xff\xfe c03\n")
+        _write(tmp_path / "ref.txt", CS_LINES[:2])
+        code = main(
+            ["score", "--hyps", str(tmp_path / "hyp.txt"), "--refs", str(tmp_path / "ref.txt")]
+        )
+        assert code == 2
+        assert "UTF-8 decoding failed on line 2" in capsys.readouterr().err
 
 
 class TestNoiseCommands:

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multisimul import metrics
 from multisimul.errors import ContractError, DegenerateTableError
 from multisimul.metrics import (
     COPY,
@@ -250,6 +251,48 @@ class TestChrf2:
         )
 
 
+# short lines from a vocabulary with 13a-relevant punctuation, plus empty and
+# whitespace-only lines; short lengths make closest-reference-length ties common
+_LINE = st.one_of(
+    st.sampled_from(["", " ", "\t  "]),
+    st.lists(
+        st.sampled_from(["a", "b", "ab", "ba", "c.", "d,", "1.5", "x-y", "&amp;"]),
+        max_size=7,
+    ).map(" ".join),
+)
+
+
+@st.composite
+def _corpora(draw):
+    n = draw(st.integers(1, 4))
+    hyps = draw(st.lists(_LINE, min_size=n, max_size=n))
+    refs = [
+        draw(st.lists(_LINE, min_size=n, max_size=n))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return hyps, refs
+
+
+class TestSufficientStatisticsOracle:
+    @given(_corpora())
+    @example((["a b c d e"], [["a b c d"], ["a b c d e f"]]))  # lengths 4 and 6 tie
+    @example((["", " "], [["a", ""], [" ", "b"]]))
+    @example((["ab d,", "x y ab"], [["b b ab", "x y ab"], ["b a ", "x y ab"]]))
+    @settings(max_examples=200, deadline=None)
+    def test_bleu_and_chrf2_match_oracles(self, corpus):
+        hyps, refs = corpus
+        assert bleu(hyps, refs) == pytest.approx(reference_bleu(hyps, refs), abs=1e-9)
+        assert chrf2(hyps, refs) == pytest.approx(reference_chrf2(hyps, refs), abs=1e-9)
+
+    def test_chrf_exact_tie_keeps_first_reference(self):
+        # both references give the first segment exactly the same sentence chrF;
+        # compared as rounded floats the second one used to win
+        hyps = ["ab d,", "x y ab"]
+        refs = [["b b ab", "x y ab"], ["b a ", "x y ab"]]
+        assert chrf2(hyps, refs) == pytest.approx(60.416666666666664, abs=1e-9)
+        assert chrf2(hyps, refs) == pytest.approx(reference_chrf2(hyps, refs), abs=1e-9)
+
+
 def _log(events):
     log = SimulEventLog()
     for e in events:
@@ -346,6 +389,28 @@ class TestPairedBootstrap:
         result = paired_bootstrap(hyps, hyps, [refs], metric="chrf2", seed=0)
         assert 0.3 <= result.p_value <= 0.7
 
+    def test_scores_are_the_corpus_scores(self, fixture_corpus):
+        hyps, refs, refs_b = fixture_corpus
+        for metric, scorer in (("bleu", bleu), ("chrf2", chrf2)):
+            result = paired_bootstrap(hyps, refs_b, [refs], metric=metric, resamples=100)
+            assert result.score_a == scorer(hyps, [refs])
+            assert result.score_b == scorer(refs_b, [refs])
+
+    def test_draw_order_pinned(self, fixture_corpus, monkeypatch):
+        # outcomes of the per-resample loop this bootstrap replaced, which drew
+        # rng.integers(0, n, size=n) once per resample; any block size must
+        # reproduce them, including blocks that do not divide the resamples
+        hyps, refs, refs_b = fixture_corpus
+        sys_b = [r if i % 2 == 0 else rb for i, (r, rb) in enumerate(zip(refs, refs_b))]
+        expected = {"bleu": (146, 154, 0), "chrf2": (100, 200, 0)}
+        for block_draws in (metrics._BOOTSTRAP_BLOCK_DRAWS, 7 * len(hyps), 1):
+            monkeypatch.setattr(metrics, "_BOOTSTRAP_BLOCK_DRAWS", block_draws)
+            for metric, outcome in expected.items():
+                result = paired_bootstrap(
+                    hyps, sys_b, [refs], metric=metric, resamples=300, seed=11
+                )
+                assert (result.wins_a, result.wins_b, result.ties) == outcome
+
     def test_argument_errors(self, fixture_corpus):
         hyps, refs, _ = fixture_corpus
         with pytest.raises(ContractError):
@@ -354,3 +419,5 @@ class TestPairedBootstrap:
             paired_bootstrap(hyps, hyps, [refs], resamples=10)
         with pytest.raises(ContractError):
             paired_bootstrap(hyps, hyps, [refs], metric="rouge")
+        with pytest.raises(ContractError):
+            paired_bootstrap([], [], [[]])
