@@ -52,6 +52,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"line-count mismatch: {args.hyps} has {len(hyps)} lines but "
                 f"{path} has {len(lines)}"
             )
+    if not hyps:
+        raise InputError(f"{args.hyps} has no segments to score")
     if args.compare is None:
         scores = {"bleu": metrics.bleu(hyps, refs), "chrf2": metrics.chrf2(hyps, refs)}
         p_rows = []
@@ -148,7 +150,12 @@ def _run_system(
     tie_order: list[str],
     primary: str,
 ) -> tuple[list[str], list[float], list[float]]:
-    """Per-sentence streaming runs; returns (outputs, AL values, NE values)."""
+    """Per-sentence streaming runs; returns (outputs, AL values, NE values).
+
+    AL and NE are undefined for a sentence whose primary source or output is
+    empty: its output still counts for BLEU/chrF2, but it has no AL/NE value,
+    and the number of such sentences goes to stderr.
+    """
     outputs: list[str] = []
     als: list[float] = []
     nes: list[float] = []
@@ -160,8 +167,15 @@ def _run_system(
             continue
         final, log = run_simul(translators, sources, la_n, tie_order=tie_order)
         outputs.append(" ".join(final))
-        als.append(metrics.average_lagging(log, primary).al)
-        nes.append(metrics.normalized_erasure(log).ne if final else 0.0)
+        if final and sources[primary].tokens:
+            als.append(metrics.average_lagging(log, primary).al)
+            nes.append(metrics.normalized_erasure(log).ne)
+    skipped = n_sentences - len(als)
+    if skipped:
+        _progress(
+            f"{skipped} of {n_sentences} sentences left out of AL/NE "
+            "(empty primary source or empty output)"
+        )
     return outputs, als, nes
 
 

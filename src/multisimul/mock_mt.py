@@ -5,6 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import TokenSequence
 from .errors import InputError, TranslatorContractError
 from .simul import EOS, DecodeResult, Vocabulary
@@ -41,6 +43,12 @@ class LexiconTranslator:
     forced prefix against this translator's own hypothesis as a subsequence;
     with ``realign=False`` any forced token that does not match positionally
     raises a contract error.
+
+    The translator remembers its last query: a source prefix that extends
+    the last one only translates the new tokens, and a forced target that
+    extends the last one only consumes the new tokens. Answers share their
+    score vectors, which are read-only. An instance is not safe to share
+    between threads.
     """
 
     def __init__(
@@ -55,6 +63,16 @@ class LexiconTranslator:
         self.lexicon = dict(lexicon)
         self.unknown_policy = unknown_policy
         self.realign = realign
+        # hypothesis of the last source prefix under (final, vocab); the
+        # scores end with the EOS vector
+        self._source: tuple[str, ...] = ()
+        self._final = False
+        self._vocab: Vocabulary | None = None
+        self._tokens: tuple[str, ...] = ()
+        self._scores: tuple[np.ndarray, ...] = ()
+        # the last forced target and where it left the hypothesis pointer
+        self._forced: list[str] = []
+        self._ptr = 0
 
     def _translate(self, token: str) -> tuple[str, float]:
         if token in self.lexicon:
@@ -63,32 +81,58 @@ class LexiconTranslator:
             return token, UNKNOWN_MARGIN
         return UNK_TAG, UNKNOWN_MARGIN
 
-    def _hypothesis(
-        self, source_prefix: TokenSequence, final: bool
-    ) -> list[tuple[str, float]]:
-        return [self._translate(tok) for tok in source_prefix.tokens]
+    def _entry(self, token: str, final: bool) -> tuple[str, float]:
+        """Hypothesis token and margin for one source token."""
+        return self._translate(token)
 
     def output_tokens(self, source: TokenSequence) -> set[str]:
         tokens = {self._translate(tok)[0] for tok in source.tokens}
         tokens.add(EOS)
         return tokens
 
-    def _consume_forced(
-        self, hypothesis: list[tuple[str, float]], forced_target: Sequence[str]
-    ) -> int:
-        ptr = 0
-        for forced in forced_target:
+    def _update_hypothesis(
+        self, source: tuple[str, ...], vocab: Vocabulary, final: bool
+    ) -> None:
+        known = len(self._source)
+        if vocab is self._vocab and final == self._final and source[:known] == self._source:
+            if len(source) == known:
+                return
+            tokens, scores = self._tokens, self._scores
+        else:
+            known = 0
+            tokens, scores = (), (_read_only(vocab.one_hot(EOS, KNOWN_MARGIN)),)
+        entries = [self._entry(tok, final) for tok in source[known:]]
+        self._tokens = tokens + tuple(tok for tok, _ in entries)
+        self._scores = (
+            scores[:-1]
+            + tuple(_read_only(vocab.one_hot(tok, margin)) for tok, margin in entries)
+            + scores[-1:]
+        )
+        self._source, self._vocab, self._final = source, vocab, final
+        # a longer hypothesis may hold a forced token that was missing before
+        self._forced, self._ptr = [], 0
+
+    def _consume_forced(self, forced_target: Sequence[str]) -> int:
+        forced = list(forced_target)
+        done = len(self._forced)
+        if forced[:done] == self._forced:
+            ptr = self._ptr
+        else:
+            done, ptr = 0, 0
+        hypothesis = self._tokens
+        for token in forced[done:]:
             if self.realign:
-                for k in range(ptr, len(hypothesis)):
-                    if hypothesis[k][0] == forced:
-                        ptr = k + 1
-                        break
-            elif ptr < len(hypothesis) and hypothesis[ptr][0] == forced:
+                try:
+                    ptr = hypothesis.index(token, ptr) + 1
+                except ValueError:
+                    pass  # another member's token: skip it
+            elif ptr < len(hypothesis) and hypothesis[ptr] == token:
                 ptr += 1
             else:
                 raise TranslatorContractError(
-                    f"forced token {forced!r} does not match hypothesis position {ptr}"
+                    f"forced token {token!r} does not match hypothesis position {ptr}"
                 )
+        self._forced, self._ptr = forced, ptr
         return ptr
 
     def decode(
@@ -98,14 +142,14 @@ class LexiconTranslator:
         vocab: Vocabulary,
         final: bool = False,
     ) -> DecodeResult:
-        hypothesis = self._hypothesis(source_prefix, final)
-        ptr = self._consume_forced(hypothesis, forced_target)
-        continuation = hypothesis[ptr:]
-        scores = [vocab.one_hot(tok, margin) for tok, margin in continuation]
-        scores.append(vocab.one_hot(EOS, KNOWN_MARGIN))
-        return DecodeResult(
-            tuple(tok for tok, _ in continuation), tuple(scores), eos=True
-        )
+        self._update_hypothesis(source_prefix.tokens, vocab, final)
+        ptr = self._consume_forced(forced_target)
+        return DecodeResult(self._tokens[ptr:], self._scores[ptr:], eos=True)
+
+
+def _read_only(vector: np.ndarray) -> np.ndarray:
+    vector.flags.writeable = False
+    return vector
 
 
 class ReorderingTranslator(LexiconTranslator):
@@ -130,16 +174,10 @@ class ReorderingTranslator(LexiconTranslator):
     def _guess(self, token: str) -> str:
         return f"<{token}?>"
 
-    def _hypothesis(
-        self, source_prefix: TokenSequence, final: bool
-    ) -> list[tuple[str, float]]:
-        out = []
-        for tok in source_prefix.tokens:
-            if tok in self.deferred and not final:
-                out.append((self._guess(tok), UNKNOWN_MARGIN))
-            else:
-                out.append(self._translate(tok))
-        return out
+    def _entry(self, token: str, final: bool) -> tuple[str, float]:
+        if token in self.deferred and not final:
+            return self._guess(token), UNKNOWN_MARGIN
+        return self._translate(token)
 
     def output_tokens(self, source: TokenSequence) -> set[str]:
         tokens = super().output_tokens(source)

@@ -79,7 +79,16 @@ class DecodeResult:
 
 
 class IncrementalTranslator(Protocol):
-    """Deterministic prefix-forced greedy translator."""
+    """Deterministic prefix-forced greedy translator.
+
+    ``decode`` answers the same query the same way within a run, and it is
+    greedy-consistent: if ``decode(source, forced, vocab, final)`` returns
+    continuation ``t`` with score vectors ``s``, then forcing its own next
+    token, ``decode(source, [*forced, t[0]], vocab, final)``, returns
+    ``t[1:]``, ``s[1:]`` and the same ``eos``. The multi-source engine relies
+    on this: a member whose next token is the joint choice is not decoded
+    again, only the members that dissent are.
+    """
 
     def decode(
         self,
@@ -165,7 +174,10 @@ class SimulEventLog:
 
 @dataclass
 class LocalAgreementState:
-    """Ring of the last n hypotheses plus the committed target prefix."""
+    """Ring of the last n hypotheses plus the committed target prefix.
+
+    Every hypothesis in the ring extends ``committed``.
+    """
 
     n: int
     committed: list[str] = field(default_factory=list)
@@ -194,8 +206,8 @@ def la_step(state: LocalAgreementState, new_hypothesis: Sequence[str]) -> list[s
     state.recent.append(hyp)
     if len(state.recent) < state.n:
         return []
-    agreed = _common_prefix(list(state.recent))
-    delta = agreed[len(state.committed) :]
+    start = len(state.committed)
+    delta = _common_prefix([h[start:] for h in state.recent])
     state.committed.extend(delta)
     return delta
 
@@ -247,10 +259,11 @@ def late_average(
     if len(dims) != 1:
         raise ContractError(f"score vector dimensions differ: {sorted(dims)}")
     arr = np.asarray(step_scores, dtype=float)
+    # a sum then a division by the count is what np.mean computes, bit for bit
     if log_domain:
         with np.errstate(divide="ignore"):
-            return np.exp(np.mean(np.log(arr), axis=0))
-    return np.mean(arr, axis=0)
+            return np.exp(np.add.reduce(np.log(arr), axis=0) / len(arr))
+    return np.add.reduce(arr, axis=0) / len(arr)
 
 
 def _build_vocab(
@@ -286,28 +299,51 @@ def _joint_hypothesis(
     max_new_tokens: int,
     log_domain: bool = False,
 ) -> list[str]:
-    """One greedy hypothesis from all members via stepwise late averaging."""
+    """One greedy hypothesis from all members via stepwise late averaging.
+
+    Each member's last answer is read with a cursor. After a joint token, a
+    member whose own next token it was moves its cursor on (by greedy
+    consistency that is what a new query would answer); the others, and any
+    member without a vector left, are queried again at the next step.
+    """
     langs = list(translators)
+
+    def query(lang: str, target: Sequence[str]) -> DecodeResult:
+        result = translators[lang].decode(prefixes[lang], target, vocab, final)
+        guard.check((lang, len(prefixes[lang]), tuple(target), final), result)
+        return result
+
     if len(langs) == 1:
-        lang = langs[0]
-        result = translators[lang].decode(prefixes[lang], committed, vocab, final)
-        guard.check((lang, len(prefixes[lang]), tuple(committed), final), result)
-        return list(committed) + list(result.tokens)
+        return list(committed) + list(query(langs[0], committed).tokens)
 
     target = list(committed)
+    results: list[DecodeResult | None] = [None] * len(langs)
+    cursors = [0] * len(langs)
     for _ in range(max_new_tokens):
         vectors = []
-        for lang in langs:
-            result = translators[lang].decode(prefixes[lang], target, vocab, final)
-            guard.check((lang, len(prefixes[lang]), tuple(target), final), result)
-            if not result.step_scores:
-                raise EngineError(f"translator for {lang!r} returned no score vector")
-            vectors.append(result.step_scores[0])
+        for m, lang in enumerate(langs):
+            result = results[m]
+            if result is None:
+                result = results[m] = query(lang, target)
+                cursors[m] = 0
+                if not result.step_scores:
+                    raise EngineError(f"translator for {lang!r} returned no score vector")
+            vectors.append(result.step_scores[cursors[m]])
         combined = late_average(vectors, log_domain=log_domain)
         token = vocab.token(int(np.argmax(combined)))
         if token == EOS:
             break
         target.append(token)
+        for m, result in enumerate(results):
+            c = cursors[m]
+            if (
+                c < len(result.tokens)
+                and result.tokens[c] == token
+                and c + 1 < len(result.step_scores)
+            ):
+                cursors[m] = c + 1
+            else:
+                results[m] = None
     return target
 
 
@@ -340,28 +376,22 @@ def run_simul(
         raise ContractError("all sources are empty")
 
     vocab = _build_vocab(translators, sources)
-    if len(sources) == 1:
-        only = next(iter(sources))
-        schedule = [
-            ReadSlot(only, i, 0.0) for i in range(len(sources[only].tokens))
-        ]
-    else:
-        schedule = schedule_reads(sources, tie_order)
+    schedule = schedule_reads(sources, tie_order)
 
     max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     state = LocalAgreementState(n)
     log = SimulEventLog()
     guard = _DeterminismGuard()
-    prefix_lens = {lang: 0 for lang in sources}
+    prefixes = {lang: source.prefix(0) for lang, source in sources.items()}
     last_hypothesis: list[str] = []
 
     for k, slot in enumerate(schedule):
-        prefix_lens[slot.language] += 1
-        log.append(ReadEvent(slot.language, sources[slot.language].tokens[slot.token_index]))
+        source = sources[slot.language]
+        prefixes[slot.language] = source.prefix(slot.token_index + 1)
+        log.append(ReadEvent(slot.language, source.tokens[slot.token_index]))
         final = k == len(schedule) - 1
         if slot.language not in update_langs and not final:
             continue
-        prefixes = {lang: sources[lang].prefix(plen) for lang, plen in prefix_lens.items()}
         last_hypothesis = _joint_hypothesis(
             translators, prefixes, state.committed, vocab, final, guard,
             max_new_tokens, log_domain,

@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import mpmath
+import numpy as np
 
 
 def edit_distance_recursive(gold: Sequence[str], hyp: Sequence[str]) -> int:
@@ -173,3 +174,117 @@ def chi_square_quantile_99() -> float:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# --- streaming engine -------------------------------------------------------
+
+REFERENCE_EOS = "</s>"  # the end-of-sentence token of the translator contract
+
+
+class ReferenceVocabulary:
+    """EOS at index 0, the other tokens sorted; one-hot vectors on demand."""
+
+    def __init__(self, tokens):
+        self.tokens = [REFERENCE_EOS] + sorted(set(tokens) - {REFERENCE_EOS})
+        self._index = {tok: i for i, tok in enumerate(self.tokens)}
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def one_hot(self, token, margin=1.0):
+        vec = np.zeros(len(self.tokens))
+        vec[self._index[token]] = margin
+        return vec
+
+
+def _reference_joint(translators, prefixes, committed, vocab, final, max_new, log_domain):
+    """Greedy late averaging that queries every member at every target step."""
+    langs = list(translators)
+    if len(langs) == 1:
+        result = translators[langs[0]].decode(prefixes[langs[0]], list(committed), vocab, final)
+        return list(committed) + list(result.tokens)
+    target = list(committed)
+    for _ in range(max_new):
+        vectors = []
+        for lang in langs:
+            result = translators[lang].decode(prefixes[lang], list(target), vocab, final)
+            vectors.append([float(x) for x in result.step_scores[0]])
+        combined = []
+        for column in zip(*vectors):
+            if not log_domain:
+                combined.append(sum(column) / len(column))
+            elif min(column) == 0.0:
+                combined.append(0.0)
+            else:
+                combined.append(math.exp(sum(math.log(x) for x in column) / len(column)))
+        best = combined.index(max(combined))  # first maximum: EOS wins ties
+        if best == 0:
+            break
+        target.append(vocab.tokens[best])
+    return target
+
+
+def _reference_common_prefix(seqs):
+    prefix = []
+    for column in zip(*seqs):
+        if len(set(column)) != 1:
+            break
+        prefix.append(column[0])
+    return prefix
+
+
+def reference_run_simul(translators, sources, n, *, tie_order=None, update_languages=None,
+                        log_domain=False):
+    """LA-n streaming from its definition; events as ("read", lang, token),
+    ("write", token) and ("flush",) tuples.
+
+    Reads are ordered by the exact character fraction each token completes,
+    then by ``tie_order``, then by token index. Every update decodes the joint
+    hypothesis afresh and commits the common prefix of the whole ring of the
+    last ``n`` hypotheses.
+    """
+    order = list(tie_order) if tie_order is not None else list(sources)
+    updates = set(update_languages) if update_languages is not None else set(sources)
+    tokens = set()
+    for lang, translator in translators.items():
+        tokens |= translator.output_tokens(sources[lang])
+    vocab = ReferenceVocabulary(tokens)
+    slots = []
+    for lang, sent in sources.items():
+        for i, (tok, offset) in enumerate(zip(sent.tokens, sent.char_offsets)):
+            fraction = Fraction(offset + len(tok), len(sent.raw))
+            slots.append((fraction, order.index(lang), i, lang))
+    slots.sort()
+    max_new = 2 * sum(len(s.tokens) for s in sources.values()) + 8
+    lengths = {lang: 0 for lang in sources}
+    ring, committed, events, hypothesis = [], [], [], []
+    for k, (_, _, i, lang) in enumerate(slots):
+        lengths[lang] += 1
+        events.append(("read", lang, sources[lang].tokens[i]))
+        final = k == len(slots) - 1
+        if lang not in updates and not final:
+            continue
+        prefixes = {name: sources[name].prefix(length) for name, length in lengths.items()}
+        hypothesis = _reference_joint(
+            translators, prefixes, committed, vocab, final, max_new, log_domain
+        )
+        if lang in updates:
+            ring = (ring + [hypothesis])[-n:]
+            if len(ring) == n:
+                new = _reference_common_prefix(ring)[len(committed):]
+                events.extend(("write", token) for token in new)
+                committed = committed + new
+    events.append(("flush",))
+    events.extend(("write", token) for token in hypothesis[len(committed):])
+    return committed + hypothesis[len(committed):], events
+
+
+def reference_decode_full(translators, sources, *, log_domain=False):
+    """Offline joint greedy decoding of the complete sources."""
+    tokens = set()
+    for lang, translator in translators.items():
+        tokens |= translator.output_tokens(sources[lang])
+    max_new = 2 * sum(len(s.tokens) for s in sources.values()) + 8
+    return _reference_joint(
+        translators, dict(sources), [], ReferenceVocabulary(tokens), True, max_new, log_domain
+    )

@@ -3,8 +3,9 @@ import statistics
 import numpy as np
 import pytest
 
-from multisimul.cli import main
+from multisimul.cli import _run_system, main
 from multisimul.corpus import TokenSequence
+from multisimul.mock_mt import LexiconTranslator
 from multisimul.noise import LexicalNoiseModel, save_model
 
 
@@ -161,6 +162,18 @@ class TestScore:
         assert code == 2
         assert "UTF-8 decoding failed on line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_empty_corpus_exit_code(self, tmp_path, capsys, compare):
+        for name in ("hyp.txt", "ref.txt", "other.txt"):
+            _write(tmp_path / name, [])
+        argv = ["score", "--hyps", str(tmp_path / "hyp.txt"), "--refs", str(tmp_path / "ref.txt")]
+        if compare:
+            argv += ["--compare", str(tmp_path / "other.txt")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "has no segments" in captured.err
+        assert captured.out == ""
+
 
 class TestNoiseCommands:
     def test_train_then_apply(self, tmp_path, capsys):
@@ -264,6 +277,46 @@ class TestSimulateCommand:
         assert float(rows["bleu"]) == pytest.approx(100.0)
         assert float(rows["ne"]) == 0.0
         assert (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines() == CS_LINES
+
+    @pytest.mark.parametrize("empty", ["en", "de"])
+    def test_one_empty_source_left_out_of_latency(self, empty, capsys):
+        translators = {
+            lang: LexiconTranslator({"a": "A"}) for lang in ("en", "de")
+        }
+        columns = {"en": [TokenSequence.from_raw("a")], "de": [TokenSequence.from_raw("a")]}
+        columns[empty] = [TokenSequence.from_raw("")]
+        outputs, als, nes = _run_system(translators, columns, 2, ["en", "de"], "en")
+        assert len(outputs) == 1
+        assert (als, nes) == ([], [])
+        assert "1 of 1 sentences left out of AL/NE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["en", "de"])
+    def test_empty_source_sentence_keeps_the_run(self, workspace, tmp_path, empty, capsys):
+        def simulate(en, de):
+            _write(tmp_path / "en.txt", en)
+            _write(tmp_path / "de.txt", de)
+            code = main(
+                [
+                    "simulate",
+                    "--source", f"en={tmp_path / 'en.txt'}", f"de={tmp_path / 'de.txt'}",
+                    "--lexicon", f"en={workspace / 'lex_en.tsv'}", f"de={workspace / 'lex_de.tsv'}",
+                    "--la-n", "2",
+                    "--out", str(tmp_path / "out.txt"),
+                ]
+            )
+            assert code == 0
+            captured = capsys.readouterr()
+            rows = dict(line.split("\t") for line in captured.out.splitlines())
+            return rows, captured.err
+
+        sources = {"en": list(EN_LINES), "de": list(EN_LINES)}
+        sources[empty][1] = ""
+        rows, err = simulate(sources["en"], sources["de"])
+        assert "1 of 4 sentences left out of AL/NE" in err
+        assert len((tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()) == 4
+        kept = [line for i, line in enumerate(EN_LINES) if i != 1]
+        expected, _ = simulate(kept, kept)
+        assert rows == expected
 
     def test_bad_lang_spec_exit_code(self, workspace, capsys):
         code = main(

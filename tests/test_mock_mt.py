@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence
 from multisimul.errors import InputError, TranslatorContractError
@@ -11,7 +13,7 @@ from multisimul.mock_mt import (
     ReorderingTranslator,
     load_lexicon,
 )
-from multisimul.simul import EOS, Vocabulary, decode_full, late_average
+from multisimul.simul import EOS, Vocabulary, decode_full, late_average, run_simul
 
 
 def _vocab_for(translator, source):
@@ -126,6 +128,108 @@ class TestReorderingTranslator:
         translator = ReorderingTranslator({"v": "V"}, deferred={"v"})
         source = TokenSequence.from_raw("v")
         assert {"V", "<v?>", EOS} <= translator.output_tokens(source)
+
+
+def _answer(translator, source, forced, vocab, final):
+    """A decode answer as comparable values, or the error it raised."""
+    try:
+        result = translator.decode(source, forced, vocab, final)
+    except TranslatorContractError as exc:
+        return type(exc), str(exc)
+    return result.tokens, result.eos, [v.tolist() for v in result.step_scores]
+
+
+MEMO_LEXICON = {"a": "A", "b": "B", "c": "C", "d": "A"}
+MEMO_TARGETS = ["A", "B", "C", "b", "<b?>", "Z"]
+
+
+class TestQueryMemo:
+    """A translator that remembers its last query answers like a fresh one."""
+
+    @given(
+        st.data(),
+        st.booleans(),
+        st.booleans(),
+        st.lists(st.sampled_from("abcde"), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_queries_match_fresh_translator(
+        self, data, reordering, realign, sentence
+    ):
+        def make():
+            if reordering:
+                return ReorderingTranslator(MEMO_LEXICON, {"b"}, realign=realign)
+            return LexiconTranslator(MEMO_LEXICON, realign=realign)
+
+        translator = make()
+        full = TokenSequence.from_tokens(sentence)
+        vocabs = [Vocabulary(translator.output_tokens(full)) for _ in range(2)]
+        forced: list[str] = []
+        for _ in range(data.draw(st.integers(1, 15))):
+            length = data.draw(st.integers(0, len(sentence)))
+            action = data.draw(st.sampled_from(["extend", "cut", "replace", "keep"]))
+            if action == "extend":
+                forced += data.draw(st.lists(st.sampled_from(MEMO_TARGETS), max_size=3))
+            elif action == "cut":
+                forced = forced[: data.draw(st.integers(0, len(forced)))]
+            elif action == "replace":
+                forced = data.draw(st.lists(st.sampled_from(MEMO_TARGETS), max_size=6))
+            vocab = vocabs[data.draw(st.integers(0, 1))]
+            final = data.draw(st.booleans())
+            source = full.prefix(length)
+            assert _answer(translator, source, forced, vocab, final) == _answer(
+                make(), source, forced, vocab, final
+            )
+
+    def test_longer_source_finds_missing_forced_token(self):
+        translator = LexiconTranslator({"a": "A", "b": "B"})
+        source = TokenSequence.from_raw("a b")
+        vocab = _vocab_for(translator, source)
+        # "B" is another member's token for the one-word prefix ...
+        assert translator.decode(source.prefix(1), ["B"], vocab).tokens == ("A",)
+        # ... and this translator's own second word once the source grows
+        assert translator.decode(source, ["B"], vocab).tokens == ()
+
+    def test_strict_error_keeps_absolute_position(self):
+        translator = LexiconTranslator({"a": "A", "b": "B", "c": "C"}, realign=False)
+        source = TokenSequence.from_raw("a b c")
+        vocab = _vocab_for(translator, source)
+        translator.decode(source, ["A"], vocab)
+        with pytest.raises(TranslatorContractError, match="position 1"):
+            translator.decode(source, ["A", "WRONG"], vocab)
+        assert translator.decode(source, ["A", "B"], vocab).tokens == ("C",)
+
+    def test_answers_are_read_only(self):
+        translator = LexiconTranslator({"a": "A"})
+        source = TokenSequence.from_raw("a a")
+        result = translator.decode(source, [], _vocab_for(translator, source))
+        with pytest.raises(ValueError):
+            result.step_scores[0][0] = 5.0
+
+
+class _CountingTranslator:
+    """Delegates to a translator and counts its decode calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def output_tokens(self, source):
+        return self.inner.output_tokens(source)
+
+    def decode(self, source_prefix, forced_target, vocab, final=False):
+        self.calls += 1
+        return self.inner.decode(source_prefix, forced_target, vocab, final)
+
+
+def test_agreeing_members_are_decoded_once_per_update():
+    lexicon = {"a": "A", "b": "B", "c": "C", "d": "D"}
+    source = TokenSequence.from_raw("a b c d")
+    members = {lang: _CountingTranslator(LexiconTranslator(lexicon)) for lang in ("en", "de")}
+    output, _ = run_simul(members, {"en": source, "de": source}, 2)
+    assert output == ["A", "B", "C", "D"]
+    updates = 2 * len(source.tokens)  # every read of either language is an update
+    assert [m.calls for m in members.values()] == [updates, updates]
 
 
 class TestLoadLexicon:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence
-from multisimul.errors import ContractError, EngineError
+from multisimul.errors import ContractError, EngineError, TranslatorContractError
 from multisimul.metrics import average_lagging, normalized_erasure
 from multisimul.mock_mt import LexiconTranslator, ReorderingTranslator
 from multisimul.simul import (
@@ -23,6 +25,7 @@ from multisimul.simul import (
     schedule_reads,
 )
 from multisimul.simul import _round_up_to_word
+from oracles import reference_decode_full, reference_run_simul
 
 
 class TestLocalAgreement:
@@ -241,6 +244,121 @@ class TestRunSimul:
             run_simul({"en": translator}, {"de": TokenSequence.from_raw("a")}, 2)
         with pytest.raises(ContractError):
             run_simul({"en": translator}, {"en": TokenSequence.from_raw("")}, 2)
+
+
+SOURCE_WORDS = ["a", "bb", "c", "ddd", "e"]
+TARGET_WORDS = ["x", "y", "z"]
+
+
+@st.composite
+def _translator_specs(draw):
+    """Constructor arguments of one mock member (built fresh for each engine)."""
+    lexicon = draw(
+        st.dictionaries(st.sampled_from(SOURCE_WORDS), st.sampled_from(TARGET_WORDS))
+    )
+    kwargs = {
+        "unknown_policy": draw(st.sampled_from(["copy", "tag"])),
+        "realign": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        deferred = draw(st.sets(st.sampled_from(SOURCE_WORDS)))
+        return ReorderingTranslator, (lexicon, deferred), kwargs
+    return LexiconTranslator, (lexicon,), kwargs
+
+
+@st.composite
+def _streaming_cases(draw):
+    langs = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+    sources = {
+        lang: TokenSequence.from_tokens(
+            draw(st.lists(st.sampled_from(SOURCE_WORDS), max_size=6))
+        )
+        for lang in langs
+    }
+    if not any(s.tokens for s in sources.values()):
+        sources[langs[0]] = TokenSequence.from_tokens(["a"])
+    specs = {lang: draw(_translator_specs()) for lang in langs}
+    options = {
+        "tie_order": draw(st.permutations(langs)),
+        "update_languages": draw(
+            st.none() | st.lists(st.sampled_from(langs), min_size=1, unique=True)
+        ),
+        "log_domain": draw(st.booleans()),
+    }
+    return sources, specs, draw(st.integers(1, 6)), options
+
+
+def _build(specs):
+    return {lang: cls(*args, **kwargs) for lang, (cls, args, kwargs) in specs.items()}
+
+
+class _Fresh:
+    """Answers every query with a new translator, so no query memo is involved."""
+
+    def __init__(self, cls, args, kwargs):
+        self.make = lambda: cls(*args, **kwargs)
+
+    def output_tokens(self, source):
+        return self.make().output_tokens(source)
+
+    def decode(self, *query):
+        return self.make().decode(*query)
+
+
+def _build_fresh(specs):
+    return {lang: _Fresh(*spec) for lang, spec in specs.items()}
+
+
+def _outcome(run):
+    """A run's result, or the type and message of the translator error it raised."""
+    try:
+        return run()
+    except TranslatorContractError as exc:
+        return type(exc), str(exc)
+
+
+def _event_tuples(log):
+    tuples = []
+    for event in log.events:
+        if isinstance(event, ReadEvent):
+            tuples.append(("read", event.language, event.token))
+        elif isinstance(event, WriteEvent):
+            tuples.append(("write", event.token))
+        else:
+            assert isinstance(event, FlushEvent)
+            tuples.append(("flush",))
+    return tuples
+
+
+class TestEngineOracle:
+    """The incremental engine against a reference that re-queries every member
+    at every target step and compares whole hypotheses in the LA ring."""
+
+    @given(_streaming_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_run_simul_matches_reference(self, case):
+        sources, specs, n, options = case
+
+        def engine():
+            output, log = run_simul(_build(specs), sources, n, **options)
+            return output, _event_tuples(log)
+
+        expected = _outcome(
+            lambda: reference_run_simul(_build_fresh(specs), sources, n, **options)
+        )
+        assert _outcome(engine) == expected
+
+    @given(_streaming_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_decode_full_matches_reference(self, case):
+        sources, specs, _, options = case
+        log_domain = options["log_domain"]
+        expected = _outcome(
+            lambda: reference_decode_full(_build_fresh(specs), sources, log_domain=log_domain)
+        )
+        assert _outcome(
+            lambda: decode_full(_build(specs), sources, log_domain=log_domain)
+        ) == expected
 
 
 class TestVocabulary:
