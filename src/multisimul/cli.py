@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import metrics, noise
 from .corpus import (
@@ -32,11 +33,21 @@ from .simul import run_simul
 
 __all__ = ["main"]
 
-RESULT_HEADER = ("system", "la_n", "seed", "bleu", "chrf2", "al", "ne")
+MULTI = "multi"  # the sweep's multi-source system
+SCORE_NAMES = ("bleu", "chrf2", "al", "ne")
 
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _mean_or_zero(values: Sequence[float]) -> float:
+    """Mean of per-sentence AL or NE values; 0 when every sentence was left out."""
+    return sum(values) / len(values) if values else 0.0
+
+
+def _write_tsv(path: Path, rows: Iterable[Sequence[str]]) -> None:
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -180,6 +191,8 @@ def _run_system(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.la_n < 1:
+        raise ConfigError(f"--la-n must be at least 1, got {args.la_n}")
     source_paths = _parse_lang_file(args.source, "--source")
     lexicon_paths = _parse_lang_file(args.lexicon, "--lexicon")
     if set(source_paths) != set(lexicon_paths):
@@ -199,9 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         Path(args.out).write_text(
             "".join(line + "\n" for line in outputs), encoding="utf-8"
         )
-    mean_al = sum(als) / len(als) if als else 0.0
-    mean_ne = sum(nes) / len(nes) if nes else 0.0
-    rows = [("al", f"{mean_al:.4f}"), ("ne", f"{mean_ne:.4f}")]
+    rows = [("al", f"{_mean_or_zero(als):.4f}"), ("ne", f"{_mean_or_zero(nes):.4f}")]
     if args.refs:
         refs = [_read_lines(p) for p in args.refs]
         rows.insert(0, ("chrf2", f"{metrics.chrf2(outputs, refs):.4f}"))
@@ -222,6 +233,13 @@ class SweepConfig:
     wer_grid: list[tuple[float, ...]]
     la_grid: list[int]
     seeds: list[int]
+
+
+def _tradeoff_name(languages: Sequence[str], cell: tuple[float, ...]) -> str:
+    # from the 4-decimal cell that results.tsv prints: 0.11496 -> 0.1150 -> 0.12
+    return "tradeoff_" + "_".join(
+        f"{lang}{round(w, 4):.2f}" for lang, w in zip(languages, cell)
+    ) + ".tsv"
 
 
 def _load_sweep_config(path: Path) -> SweepConfig:
@@ -246,6 +264,10 @@ def _load_sweep_config(path: Path) -> SweepConfig:
     languages = [lang.strip() for lang in require("languages").split(",") if lang.strip()]
     if not languages:
         raise ConfigError(f"{path}: languages must be non-empty")
+    if len(set(languages)) != len(languages):
+        raise ConfigError(f"{path}: languages must be distinct: {','.join(languages)}")
+    if MULTI in languages:
+        raise ConfigError(f"{path}: {MULTI!r} names the multi-source system, not a language")
     primary = values.get("primary", languages[0])
     if primary not in languages:
         raise ConfigError(f"{path}: primary {primary!r} not among languages")
@@ -261,9 +283,12 @@ def _load_sweep_config(path: Path) -> SweepConfig:
                 f"{path}: wer cell {cell!r} needs {len(languages)} colon-separated values"
             )
         try:
-            wer_grid.append(tuple(float(p) for p in parts))
+            targets = tuple(float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"{path}: non-numeric wer cell {cell!r}") from None
+        if not all(0 <= w < math.inf for w in targets):
+            raise ConfigError(f"{path}: wer cell {cell!r} needs finite targets >= 0")
+        wer_grid.append(targets)
     try:
         la_grid = [int(v) for v in require("la_grid").split(",")]
         seeds = [int(v) for v in require("seeds").split(",")]
@@ -271,6 +296,15 @@ def _load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"{path}: la_grid and seeds must be integers") from None
     if not wer_grid or not la_grid or not seeds:
         raise ConfigError(f"{path}: grids and seeds must be non-empty")
+    if min(la_grid) < 1:
+        raise ConfigError(f"{path}: la_grid sizes must be at least 1")
+    # wer cells are told apart by their trade-off file, which would otherwise
+    # be overwritten; any repeat would also duplicate rows and skew the stddev
+    tradeoff_names = [_tradeoff_name(languages, cell) for cell in wer_grid]
+    for key, items in (("wer_grid", tradeoff_names), ("la_grid", la_grid), ("seeds", seeds)):
+        repeated = sorted({str(item) for item in items if items.count(item) > 1})
+        if repeated:
+            raise ConfigError(f"{path}: {key} repeats {', '.join(repeated)}")
 
     return SweepConfig(
         languages=languages,
@@ -290,20 +324,41 @@ def _language_stream_seed(seed: int, lang_index: int) -> int:
     return seed * 1_000_003 + lang_index
 
 
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep unit: a system at one LA size on one seed's noising of a cell.
+
+    Scores are held as ``results.tsv`` prints them (4 decimals), so the
+    summary and trade-off statistics are those of the printed values.
+    """
+
+    cell: tuple[float, ...]
+    system: str
+    la_n: int
+    seed: int
+    bleu: float
+    chrf2: float
+    al: float
+    ne: float
+
+    @property
+    def scores(self) -> tuple[float, float, float, float]:
+        return (self.bleu, self.chrf2, self.al, self.ne)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_sweep_config(Path(args.config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clean = {
-        lang: [TokenSequence.from_raw(line) for line in _read_lines(path)]
-        for lang, path in config.sources.items()
-    }
-    lengths = {len(col) for col in clean.values()}
+    doc = load_parallel(config.sources)
     refs = [_read_lines(config.reference)]
-    lengths.add(len(refs[0]))
-    if len(lengths) != 1:
-        raise ConfigError(f"source/reference line counts differ: {sorted(lengths)}")
+    if len(refs[0]) != len(doc):
+        raise AlignmentMismatchError(
+            f"line-count mismatch: the sources have {len(doc)} lines but "
+            f"{config.reference} has {len(refs[0])}"
+        )
+    clean = {lang: doc.column(lang) for lang in config.languages}
     translators = {
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in config.lexicons.items()
@@ -311,29 +366,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_models = {
         lang: noise.load_model(path) for lang, path in config.noise_models.items()
     }
+    systems = {lang: [lang] for lang in config.languages}
+    systems[MULTI] = config.languages
 
-    wer_cols = [f"wer_{lang}" for lang in config.languages]
-    rows: list[tuple] = []
+    rows: list[SweepRow] = []
     for cell in config.wer_grid:
         for seed in config.seeds:
-            noised: dict[str, list[TokenSequence]] = {}
-            for li, lang in enumerate(config.languages):
-                target = cell[li]
-                model = base_models[lang]
+            noised = dict(clean)
+            for li, (lang, target) in enumerate(zip(config.languages, cell)):
                 if target > 0:
-                    model = noise.rescale_to_wer(model, target)
+                    model = noise.rescale_to_wer(base_models[lang], target)
                     noised[lang] = noise.apply_noise_corpus(
                         model, clean[lang], _language_stream_seed(seed, li)
                     )
-                else:
-                    noised[lang] = clean[lang]
             for la_n in config.la_grid:
-                systems = {lang: [lang] for lang in config.languages}
-                systems["multi"] = config.languages
                 for system, langs in systems.items():
-                    _progress(
-                        f"cell={cell} seed={seed} la_n={la_n} system={system}"
-                    )
+                    _progress(f"cell={cell} seed={seed} la_n={la_n} system={system}")
                     outputs, als, nes = _run_system(
                         {lang: translators[lang] for lang in langs},
                         {lang: noised[lang] for lang in langs},
@@ -341,84 +389,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         config.languages,
                         config.primary if config.primary in langs else langs[0],
                     )
-                    row = (
-                        *(f"{w:.4f}" for w in cell),
-                        system,
-                        str(la_n),
-                        str(seed),
-                        f"{metrics.bleu(outputs, refs):.4f}",
-                        f"{metrics.chrf2(outputs, refs):.4f}",
-                        f"{sum(als) / len(als):.4f}" if als else "0.0000",
-                        f"{sum(nes) / len(nes):.4f}" if nes else "0.0000",
+                    scores = (
+                        metrics.bleu(outputs, refs),
+                        metrics.chrf2(outputs, refs),
+                        _mean_or_zero(als),
+                        _mean_or_zero(nes),
                     )
-                    rows.append(row)
+                    rows.append(
+                        SweepRow(cell, system, la_n, seed, *(round(v, 4) for v in scores))
+                    )
 
-    header = (*wer_cols, *RESULT_HEADER)
-    results_path = out_dir / "results.tsv"
-    with results_path.open("w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-
-    _write_summary(out_dir, header, rows, len(config.languages))
-    _write_tradeoffs(out_dir, header, rows, config.languages)
-    print(f"wrote {len(rows)} result rows to {results_path}")
+    _write_sweep(out_dir, config.languages, rows)
+    print(f"wrote {len(rows)} result rows to {out_dir / 'results.tsv'}")
     return 0
 
 
-def _write_summary(
-    out_dir: Path, header: tuple, rows: list[tuple], n_langs: int
-) -> None:
-    """Per-cell avg and stddev over seeds of every numeric metric."""
-    groups: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        key = (*row[:n_langs], row[n_langs], row[n_langs + 1])  # cell, system, la_n
-        groups.setdefault(key, []).append(row)
-    metric_names = ("bleu", "chrf2", "al", "ne")
-    out = [
-        "\t".join(
-            (*header[:n_langs], "system", "la_n")
-            + tuple(f"{m}_{s}" for m in metric_names for s in ("avg", "std"))
-        )
-    ]
-    for key in sorted(groups):
-        group = groups[key]
-        cols: list[str] = list(key)
-        for offset in range(4):
-            values = [float(row[n_langs + 3 + offset]) for row in group]
-            avg = statistics.fmean(values)
-            std = statistics.pstdev(values) if len(values) > 1 else 0.0
-            cols.extend((f"{avg:.4f}", f"{std:.4f}"))
-        out.append("\t".join(cols))
-    (out_dir / "summary.tsv").write_text(
-        "".join(line + "\n" for line in out), encoding="utf-8"
+def _write_sweep(out_dir: Path, languages: list[str], rows: list[SweepRow]) -> None:
+    """results.tsv in run order, then summary.tsv (avg and stddev over seeds)
+    and one (AL, BLEU) trade-off file per cell from the same groups."""
+
+    def cell_text(cell: tuple[float, ...]) -> tuple[str, ...]:
+        return tuple(f"{w:.4f}" for w in cell)
+
+    wer_cols = tuple(f"wer_{lang}" for lang in languages)
+    _write_tsv(
+        out_dir / "results.tsv",
+        [(*wer_cols, "system", "la_n", "seed", *SCORE_NAMES)]
+        + [
+            (*cell_text(r.cell), r.system, str(r.la_n), str(r.seed),
+             *(f"{v:.4f}" for v in r.scores))
+            for r in rows
+        ],
     )
-
-
-def _write_tradeoffs(
-    out_dir: Path, header: tuple, rows: list[tuple], languages: list[str]
-) -> None:
-    """One (AL, BLEU) point file per noise cell, averaged over seeds."""
-    n_langs = len(languages)
-    cells: dict[tuple, dict[tuple, list[tuple[float, float]]]] = {}
+    groups: dict[tuple[tuple[str, ...], str, str], list[SweepRow]] = {}
     for row in rows:
-        cell = row[:n_langs]
-        sys_la = (row[n_langs], row[n_langs + 1])
-        cells.setdefault(cell, {}).setdefault(sys_la, []).append(
-            (float(row[n_langs + 5]), float(row[n_langs + 3]))  # (al, bleu)
+        # keyed by the printed text, so groups sort with la_n 10 before 2
+        groups.setdefault((cell_text(row.cell), row.system, str(row.la_n)), []).append(row)
+    summary = [
+        (*wer_cols, "system", "la_n", *(f"{m}_{s}" for m in SCORE_NAMES for s in ("avg", "std")))
+    ]
+    tradeoffs: dict[str, list[tuple[str, ...]]] = {}
+    for (cell, system, la_n), group in sorted(groups.items()):
+        per_seed = dict(zip(SCORE_NAMES, zip(*(r.scores for r in group))))
+        avg = {m: f"{statistics.fmean(v):.4f}" for m, v in per_seed.items()}
+        std = {m: f"{statistics.pstdev(v):.4f}" for m, v in per_seed.items()}
+        summary.append((*cell, system, la_n, *(x for m in SCORE_NAMES for x in (avg[m], std[m]))))
+        name = _tradeoff_name(languages, group[0].cell)
+        tradeoffs.setdefault(name, [("system", "la_n", "al", "bleu")]).append(
+            (system, la_n, avg["al"], avg["bleu"])
         )
-    for cell, points in sorted(cells.items()):
-        name = "tradeoff_" + "_".join(
-            f"{lang}{float(w):.2f}" for lang, w in zip(languages, cell)
-        )
-        lines = ["system\tla_n\tal\tbleu"]
-        for (system, la_n), pairs in sorted(points.items()):
-            al = statistics.fmean(p[0] for p in pairs)
-            bleu_score = statistics.fmean(p[1] for p in pairs)
-            lines.append(f"{system}\t{la_n}\t{al:.4f}\t{bleu_score:.4f}")
-        (out_dir / f"{name}.tsv").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
+    _write_tsv(out_dir / "summary.tsv", summary)
+    for name, lines in tradeoffs.items():
+        _write_tsv(out_dir / name, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

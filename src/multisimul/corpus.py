@@ -147,8 +147,9 @@ _13A_SYMBOLS = str.maketrans(
 def tokenize_13a(raw: str) -> TokenSequence:
     """Tokenize with the mteval-13a scheme used by sacre-style scorers.
 
-    The raw form of the result is the space-joined token string, so the
-    function is idempotent under re-joining and re-tokenizing.
+    The raw form of the result is the space-joined token string. Like
+    mteval-13a itself, the function is not idempotent under re-joining:
+    ``'..0'`` gives ``('.', '.0')``, and ``'. .0'`` gives ``('.', '.', '0')``.
     """
     norm = raw
     norm = norm.replace("<skipped>", "")

@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import numpy as np
@@ -318,6 +319,20 @@ class TestSimulateCommand:
         expected, _ = simulate(kept, kept)
         assert rows == expected
 
+    def test_la_n_below_one_exit_code(self, workspace, capsys):
+        code = main(
+            [
+                "simulate",
+                "--source", f"en={workspace / 'en.txt'}",
+                "--lexicon", f"en={workspace / 'lex_en.tsv'}",
+                "--la-n", "0",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--la-n must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_bad_lang_spec_exit_code(self, workspace, capsys):
         code = main(
             [
@@ -409,3 +424,60 @@ class TestSweep:
 
         config2 = _sweep_config(workspace, wer_grid="0.1")  # needs two values
         assert main(["sweep", "--config", str(config2), "--out-dir", str(workspace / "o")]) == 3
+
+        rejected_before_any_work = [
+            ("wer_grid", "-0.3:-0.3"),  # would silently run clean
+            ("wer_grid", "nan:0.1"),
+            ("la_grid", "0"),
+            ("languages", "en,en"),
+            ("languages", "en,multi"),  # would overwrite the multi system's rows
+            ("wer_grid", "0.101:0.101,0.104:0.104"),  # both write tradeoff_en0.10_de0.10
+            ("wer_grid", "0.1:0.1,0.1:0.1"),
+            ("la_grid", "2,2"),
+            ("seeds", "1,1"),
+        ]
+        for key, value in rejected_before_any_work:
+            grids = {"wer_grid": "0.1:0.1", "la_grid": "2", "seeds": "1"}
+            if key in grids:
+                grids[key] = value
+            config = _sweep_config(workspace, **grids)
+            if key == "languages":
+                # the second language takes over de's files, so only the name is wrong
+                second = value.split(",")[1]
+                text = config.read_text(encoding="utf-8").replace(".de=", f".{second}=")
+                config.write_text(text.replace("en,de", value), encoding="utf-8")
+            out_dir = workspace / "o"
+            capsys.readouterr()
+            assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 3, value
+            assert "config error" in capsys.readouterr().err, value
+            assert not out_dir.exists(), value
+
+    @pytest.mark.parametrize("short", ["de.txt", "cs.txt"])
+    def test_line_count_mismatch_exit_code(self, workspace, capsys, short):
+        _write(workspace / short, (CS_LINES if short == "cs.txt" else EN_LINES)[:-1])
+        config = _sweep_config(workspace, wer_grid="0:0", la_grid="2", seeds="1")
+        assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "o")]) == 2
+        assert "line-count mismatch" in capsys.readouterr().err
+
+    def test_output_bytes_golden(self, workspace, capsys):
+        # the output bytes are fixed for a fixed config; 0.11496 prints as
+        # 0.1150, so its trade-off file is named en0.12
+        expected = {
+            "results.tsv": "ac022fc9f5377b29fa1a9ee10ff84ba1dcf6e7a7ead1d9c4d188b9c89ca36de1",
+            "summary.tsv": "f9bb8565c57cd75c5341984a6e308e0cc4ac3c9b9fdf75329508350a79c8b72c",
+            "tradeoff_en0.12_de0.10.tsv":
+                "3aafd16fd8cf43da42d586634e8d8add0f9b8b7da83af00fede4aa08b797a742",
+            "tradeoff_en0.20_de0.25.tsv":
+                "d979f7950da10bcef84d86992d97783740696a444195d2920bc956ca94175865",
+        }
+        config = _sweep_config(
+            workspace, wer_grid="0.11496:0.1,0.2:0.25", la_grid="2,10", seeds="1,2"
+        )
+        out_dir = workspace / "out"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()
+        }
+        assert digests == expected
+        _, summary = _read_tsv(out_dir / "summary.tsv")
+        assert [row["la_n"] for row in summary[:2]] == ["10", "2"]  # text order
