@@ -38,10 +38,8 @@ from .simul import (
     LocalAgreementState,
     SimulEventLog,
     decode_full,
-    generate_prefix_pairs,
     la_step,
     late_average,
-    run_retranslation,
     run_simul,
     schedule_reads,
 )

@@ -158,7 +158,6 @@ def _run_system(
     translators: dict[str, LexiconTranslator],
     source_columns: dict[str, list[TokenSequence]],
     la_n: int,
-    tie_order: list[str],
     primary: str,
 ) -> tuple[list[str], list[float], list[float]]:
     """Per-sentence streaming runs; returns (outputs, AL values, NE values).
@@ -176,7 +175,7 @@ def _run_system(
         if all(len(s.tokens) == 0 for s in sources.values()):
             outputs.append("")
             continue
-        final, log = run_simul(translators, sources, la_n, tie_order=tie_order)
+        final, log = run_simul(translators, sources, la_n)
         outputs.append(" ".join(final))
         if final and sources[primary].tokens:
             als.append(metrics.average_lagging(log, primary).al)
@@ -207,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in lexicon_paths.items()
     }
-    outputs, als, nes = _run_system(translators, columns, args.la_n, languages, primary)
+    outputs, als, nes = _run_system(translators, columns, args.la_n, primary)
     if args.out is not None:
         Path(args.out).write_text(
             "".join(line + "\n" for line in outputs), encoding="utf-8"
@@ -371,13 +370,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows: list[SweepRow] = []
     for cell in config.wer_grid:
+        # the rescaled model depends on the cell's target only, not on the seed
+        models = {
+            lang: noise.rescale_to_wer(base_models[lang], target)
+            for lang, target in zip(config.languages, cell)
+            if target > 0
+        }
         for seed in config.seeds:
             noised = dict(clean)
-            for li, (lang, target) in enumerate(zip(config.languages, cell)):
-                if target > 0:
-                    model = noise.rescale_to_wer(base_models[lang], target)
+            for li, lang in enumerate(config.languages):
+                if lang in models:
                     noised[lang] = noise.apply_noise_corpus(
-                        model, clean[lang], _language_stream_seed(seed, li)
+                        models[lang], clean[lang], _language_stream_seed(seed, li)
                     )
             for la_n in config.la_grid:
                 for system, langs in systems.items():
@@ -386,7 +390,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         {lang: translators[lang] for lang in langs},
                         {lang: noised[lang] for lang in langs},
                         la_n,
-                        config.languages,
                         config.primary if config.primary in langs else langs[0],
                     )
                     scores = (

@@ -79,13 +79,19 @@ class TokenSequence:
         return len(self.tokens)
 
     def prefix(self, k: int) -> "TokenSequence":
-        """First ``k`` tokens with the raw text cut at the end of token ``k``."""
+        """First ``k`` tokens with the raw text cut at the end of token ``k``.
+
+        A prefix of a valid sequence is valid, so it skips the checks of
+        ``__post_init__``.
+        """
         if not 0 <= k <= len(self.tokens):
             raise ContractError(f"prefix length {k} out of range 0..{len(self.tokens)}")
-        if k == 0:
-            return TokenSequence((), "", ())
-        end = self.char_offsets[k - 1] + len(self.tokens[k - 1])
-        return TokenSequence(self.tokens[:k], self.raw[:end], self.char_offsets[:k])
+        end = self.char_offsets[k - 1] + len(self.tokens[k - 1]) if k else 0
+        seq = object.__new__(TokenSequence)
+        seq.__dict__.update(
+            tokens=self.tokens[:k], raw=self.raw[:end], char_offsets=self.char_offsets[:k]
+        )
+        return seq
 
 
 @dataclass(frozen=True)
@@ -124,14 +130,6 @@ class WordAlignment:
 
     links: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
-    def validate(self, src_len: int, tgt_len: int) -> None:
-        for i, j in self.links:
-            if not (0 <= i < src_len and 0 <= j < tgt_len):
-                raise ContractError(
-                    f"alignment link ({i},{j}) out of bounds for lengths "
-                    f"({src_len},{tgt_len})"
-                )
-
 
 # mteval-13a pads every one of these ASCII symbols with spaces; each match is
 # a single character, so one translation table does what the regex does
@@ -144,11 +142,10 @@ _13A_SYMBOLS = str.maketrans(
 )
 
 
-def tokenize_13a(raw: str) -> TokenSequence:
+def tokenize_13a(raw: str) -> tuple[str, ...]:
     """Tokenize with the mteval-13a scheme used by sacre-style scorers.
 
-    The raw form of the result is the space-joined token string. Like
-    mteval-13a itself, the function is not idempotent under re-joining:
+    Like mteval-13a itself, the function is not idempotent under re-joining:
     ``'..0'`` gives ``('.', '.0')``, and ``'. .0'`` gives ``('.', '.', '0')``.
     """
     norm = raw
@@ -164,7 +161,7 @@ def tokenize_13a(raw: str) -> TokenSequence:
     norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
     norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
     norm = re.sub(r"([0-9])(-)", r"\1 \2 ", norm)
-    return TokenSequence.from_tokens(norm.split())
+    return tuple(norm.split())
 
 
 def normalize_transcript(raw: str, *, lowercase: bool = True, strip_punct: bool = False) -> TokenSequence:

@@ -39,7 +39,3 @@ class ModelFormatError(InputError):
 
 class EngineError(MultisimulError):
     """The streaming decoding engine detected an internal inconsistency."""
-
-
-class TranslatorContractError(EngineError):
-    """A translator was driven with a forced prefix it cannot honor."""

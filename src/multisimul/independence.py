@@ -16,18 +16,10 @@ from .metrics import (
 )
 
 __all__ = [
-    "CorrectnessProjection",
     "IndependenceReport",
     "build_contingency",
     "analyze_independence",
 ]
-
-
-@dataclass(frozen=True)
-class CorrectnessProjection:
-    """Per-sentence aligned token pairs with their correctness booleans."""
-
-    pairs: tuple[tuple[int, int, bool, bool], ...]
 
 
 def _project_sentence(
@@ -35,7 +27,8 @@ def _project_sentence(
     tgt: TranscriptPair,
     alignment: WordAlignment,
     sentence_index: int,
-) -> CorrectnessProjection:
+) -> list[tuple[int, int, bool, bool]]:
+    """Aligned token pairs of one sentence with their correctness booleans."""
     src_ok = token_correctness(align_edit(src.gold, src.hyp))
     tgt_ok = token_correctness(align_edit(tgt.gold, tgt.hyp))
     pairs = []
@@ -46,7 +39,7 @@ def _project_sentence(
                 f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
             )
         pairs.append((i, j, src_ok[i], tgt_ok[j]))
-    return CorrectnessProjection(tuple(pairs))
+    return pairs
 
 
 def build_contingency(
@@ -66,8 +59,7 @@ def build_contingency(
         )
     cells = [[0, 0], [0, 0]]
     for idx, (src, tgt, alignment) in enumerate(zip(src_pairs, tgt_pairs, alignments)):
-        projection = _project_sentence(src, tgt, alignment, idx)
-        for _, _, src_ok, tgt_ok in projection.pairs:
+        for _, _, src_ok, tgt_ok in _project_sentence(src, tgt, alignment, idx):
             cells[0 if src_ok else 1][0 if tgt_ok else 1] += 1
     return Contingency2x2(((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])))
 

@@ -259,7 +259,7 @@ def _bleu_ref_side(refs: Sequence[str]) -> tuple[list[int], list[Counter]]:
     lengths: list[int] = []
     clip: list[Counter] = []
     for ref in refs:
-        tokens = tokenize_13a(ref).tokens
+        tokens = tokenize_13a(ref)
         lengths.append(len(tokens))
         counts = _ngram_counts(tokens, BLEU_ORDER)
         if not clip:
@@ -272,7 +272,7 @@ def _bleu_ref_side(refs: Sequence[str]) -> tuple[list[int], list[Counter]]:
 
 def _bleu_row(hyp: str, ref_side: tuple[list[int], list[Counter]]) -> list[int]:
     ref_lengths, clip = ref_side
-    tokens = tokenize_13a(hyp).tokens
+    tokens = tokenize_13a(hyp)
     sys_len = len(tokens)
     # closest reference length; the shorter one wins a tie
     closest = min(ref_lengths, key=lambda r: (abs(sys_len - r), r))

@@ -7,13 +7,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TokenSequence
-from .errors import InputError, TranslatorContractError
+from .corpus import TokenSequence, _read_lines
+from .errors import InputError
 from .simul import EOS, DecodeResult, Vocabulary
 
 __all__ = ["LexiconTranslator", "ReorderingTranslator", "load_lexicon"]
 
-UNK_TAG = "<unk>"
 KNOWN_MARGIN = 1.0
 UNKNOWN_MARGIN = 0.5
 
@@ -21,9 +20,7 @@ UNKNOWN_MARGIN = 0.5
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """TSV lexicon: one "src<TAB>tgt" entry per line."""
     lexicon: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -36,13 +33,11 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
 class LexiconTranslator:
     """Word-for-word translator; one output token per input token.
 
-    Known words translate with full margin; unknown words are copied (or
-    tagged) at a reduced margin, so late averaging prefers a confident
-    partner over a guess. With ``realign=True`` (the default) forced target
-    tokens produced by other ensemble members are skipped by matching the
-    forced prefix against this translator's own hypothesis as a subsequence;
-    with ``realign=False`` any forced token that does not match positionally
-    raises a contract error.
+    Known words translate with full margin; unknown words are copied at a
+    reduced margin, so late averaging prefers a confident partner over a
+    guess. Forced target tokens produced by other ensemble members are
+    skipped by matching the forced prefix against this translator's own
+    hypothesis as a subsequence.
 
     The translator remembers its last query: a source prefix that extends
     the last one only translates the new tokens, and a forced target that
@@ -51,18 +46,8 @@ class LexiconTranslator:
     between threads.
     """
 
-    def __init__(
-        self,
-        lexicon: Mapping[str, str],
-        unknown_policy: str = "copy",
-        *,
-        realign: bool = True,
-    ):
-        if unknown_policy not in ("copy", "tag"):
-            raise ValueError(f"unknown_policy must be 'copy' or 'tag', got {unknown_policy!r}")
+    def __init__(self, lexicon: Mapping[str, str]):
         self.lexicon = dict(lexicon)
-        self.unknown_policy = unknown_policy
-        self.realign = realign
         # hypothesis of the last source prefix under (final, vocab); the
         # scores end with the EOS vector
         self._source: tuple[str, ...] = ()
@@ -77,9 +62,7 @@ class LexiconTranslator:
     def _translate(self, token: str) -> tuple[str, float]:
         if token in self.lexicon:
             return self.lexicon[token], KNOWN_MARGIN
-        if self.unknown_policy == "copy":
-            return token, UNKNOWN_MARGIN
-        return UNK_TAG, UNKNOWN_MARGIN
+        return token, UNKNOWN_MARGIN
 
     def _entry(self, token: str, final: bool) -> tuple[str, float]:
         """Hypothesis token and margin for one source token."""
@@ -121,17 +104,10 @@ class LexiconTranslator:
             done, ptr = 0, 0
         hypothesis = self._tokens
         for token in forced[done:]:
-            if self.realign:
-                try:
-                    ptr = hypothesis.index(token, ptr) + 1
-                except ValueError:
-                    pass  # another member's token: skip it
-            elif ptr < len(hypothesis) and hypothesis[ptr] == token:
-                ptr += 1
-            else:
-                raise TranslatorContractError(
-                    f"forced token {token!r} does not match hypothesis position {ptr}"
-                )
+            try:
+                ptr = hypothesis.index(token, ptr) + 1
+            except ValueError:
+                pass  # another member's token: skip it
         self._forced, self._ptr = forced, ptr
         return ptr
 
@@ -160,15 +136,8 @@ class ReorderingTranslator(LexiconTranslator):
     prefix hypotheses are unstable by construction.
     """
 
-    def __init__(
-        self,
-        lexicon: Mapping[str, str],
-        deferred: set[str],
-        unknown_policy: str = "copy",
-        *,
-        realign: bool = True,
-    ):
-        super().__init__(lexicon, unknown_policy, realign=realign)
+    def __init__(self, lexicon: Mapping[str, str], deferred: set[str]):
+        super().__init__(lexicon)
         self.deferred = set(deferred)
 
     def _guess(self, token: str) -> str:

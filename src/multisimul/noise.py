@@ -10,13 +10,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TokenSequence, TranscriptPair
+from .corpus import TokenSequence, TranscriptPair, _read_lines
 from .errors import ContractError, ModelFormatError, UnattainableWerError
 from .metrics import DELETE, INSERT, SUBSTITUTE, align_edit
 
 __all__ = [
     "LexicalNoiseModel",
-    "WerTarget",
     "train_noise_model",
     "expected_wer",
     "rescale_to_wer",
@@ -70,15 +69,6 @@ class LexicalNoiseModel:
         for word, dist in self.substitution_table.items():
             _check_distribution(dist, f"substitution[{word}]")
         _check_distribution(self.insertion_table, "insertion")
-
-
-@dataclass(frozen=True)
-class WerTarget:
-    desired_wer: float
-
-    def __post_init__(self) -> None:
-        if self.desired_wer < 0:
-            raise ContractError("desired WER must be non-negative")
 
 
 def train_noise_model(pairs: Iterable[TranscriptPair]) -> LexicalNoiseModel:
@@ -151,15 +141,13 @@ def _linearized_wer(model: LexicalNoiseModel, c: float) -> float:
     )
 
 
-def rescale_to_wer(
-    model: LexicalNoiseModel, target: WerTarget | float
-) -> LexicalNoiseModel:
+def rescale_to_wer(model: LexicalNoiseModel, target: float) -> LexicalNoiseModel:
     """Rescale all probabilities by the constant solving the quadratic WER equation.
 
     The equation pD*pS*c^2 - (pI+pD+pS)*c + WER = 0 is solved for its smallest
     non-negative root; the degenerate pD*pS = 0 case is linear.
     """
-    desired = target.desired_wer if isinstance(target, WerTarget) else float(target)
+    desired = float(target)
     if desired < 0:
         raise ContractError("desired WER must be non-negative")
     p_sum = model.p_insert + model.p_delete + model.p_substitute
@@ -227,25 +215,16 @@ def apply_noise(
     sentence: TokenSequence | Sequence[str],
     seed: int,
     sentence_index: int = 0,
-    *,
-    uniform_fallback: bool = False,
 ) -> TokenSequence:
     """Noise one sentence, deterministically under (seed, sentence_index).
 
     Per gold token in order: delete with p_delete, else substitute with
     p_substitute; an insertion run (geometric in p_insert) follows every
     position including the sentence start. Words absent from the substitution
-    table are kept unless ``uniform_fallback`` draws from the global
-    substitution vocabulary.
+    table are kept.
     """
     tokens = list(sentence.tokens) if isinstance(sentence, TokenSequence) else list(sentence)
     rng = _sentence_rng(seed, sentence_index)
-    fallback_vocab: Distribution = ()
-    if uniform_fallback and model.substitution_table:
-        words = sorted(
-            {w for dist in model.substitution_table.values() for w, _ in dist}
-        )
-        fallback_vocab = tuple((w, 1.0 / len(words)) for w in words)
 
     out: list[str] = []
 
@@ -260,14 +239,9 @@ def apply_noise(
         if rng.random() < model.p_delete:
             insertion_run()
             continue
-        if rng.random() < model.p_substitute:
-            dist = model.substitution_table.get(token)
-            if dist:
-                out.append(_draw(rng, dist))
-            elif fallback_vocab:
-                out.append(_draw(rng, fallback_vocab))
-            else:
-                out.append(token)
+        dist = model.substitution_table.get(token)
+        if rng.random() < model.p_substitute and dist:
+            out.append(_draw(rng, dist))
         else:
             out.append(token)
         insertion_run()
@@ -278,13 +252,8 @@ def apply_noise_corpus(
     model: LexicalNoiseModel,
     sentences: Sequence[TokenSequence | Sequence[str]],
     seed: int,
-    *,
-    uniform_fallback: bool = False,
 ) -> list[TokenSequence]:
-    return [
-        apply_noise(model, sent, seed, i, uniform_fallback=uniform_fallback)
-        for i, sent in enumerate(sentences)
-    ]
+    return [apply_noise(model, sent, seed, i) for i, sent in enumerate(sentences)]
 
 
 def save_model(model: LexicalNoiseModel, path: str | Path) -> None:
@@ -304,7 +273,7 @@ def save_model(model: LexicalNoiseModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LexicalNoiseModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ModelFormatError(f"{path}: empty model file")
     magic = lines[0].split("\t")
@@ -319,15 +288,17 @@ def load_model(path: str | Path) -> LexicalNoiseModel:
     ins_rows: list[tuple[str, float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
+        # every word of a table row must be one token: non-empty, no whitespace
+        words = fields[1:-1] if fields[0] == "" else fields[:-1]
         try:
             if len(fields) == 2:
                 header[fields[0]] = float(fields[1])
-            elif len(fields) == 3 and fields[0] == "":
+            elif len(fields) != 3 or any(word.split() != [word] for word in words):
+                raise ValueError("wrong field count or a word that is not one token")
+            elif fields[0] == "":
                 ins_rows.append((fields[1], float(fields[2])))
-            elif len(fields) == 3:
-                sub_rows.setdefault(fields[0], []).append((fields[1], float(fields[2])))
             else:
-                raise ValueError("wrong field count")
+                sub_rows.setdefault(fields[0], []).append((fields[1], float(fields[2])))
         except ValueError as exc:
             raise ModelFormatError(f"{path}: malformed line {lineno}: {line!r}") from exc
     missing = {"p_insert", "p_delete", "p_substitute", "scale_c"} - set(header)

@@ -28,8 +28,6 @@ __all__ = [
     "late_average",
     "run_simul",
     "decode_full",
-    "run_retranslation",
-    "generate_prefix_pairs",
 ]
 
 EOS = "</s>"
@@ -49,9 +47,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def index(self, token: str) -> int:
         return self._index[token]
@@ -219,22 +214,15 @@ class ReadSlot:
     fraction: float
 
 
-def schedule_reads(
-    sources: Mapping[str, TokenSequence],
-    tie_order: Sequence[str] | None = None,
-) -> list[ReadSlot]:
+def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[ReadSlot]:
     """Interleave per-language reads sorted by character-length fraction.
 
-    Each slot advances exactly one language by one token. Ties break by
-    ``tie_order`` (default: mapping order), then token index.
+    Each slot advances exactly one language by one token. Ties break by the
+    mapping order of ``sources``, then token index.
     """
     if not sources:
         raise ContractError("at least one source language is required")
-    order = list(tie_order) if tie_order is not None else list(sources)
-    for lang in sources:
-        if lang not in order:
-            raise ContractError(f"language {lang!r} missing from tie order")
-    rank = {lang: i for i, lang in enumerate(order)}
+    rank = {lang: i for i, lang in enumerate(sources)}
     slots = [
         ReadSlot(lang, i, char_fraction(sent, i + 1))
         for lang, sent in sources.items()
@@ -244,15 +232,8 @@ def schedule_reads(
     return slots
 
 
-def late_average(
-    step_scores: Sequence[np.ndarray], *, log_domain: bool = False
-) -> np.ndarray:
-    """Element-wise arithmetic mean of member score vectors.
-
-    With ``log_domain=True`` the vectors are averaged in log space (geometric
-    mean), for members that expose normalized probabilities instead of raw
-    scores; zero entries stay zero.
-    """
+def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
+    """Element-wise arithmetic mean of member score vectors."""
     if not step_scores:
         raise ContractError("late_average needs at least one score vector")
     dims = {len(v) for v in step_scores}
@@ -260,9 +241,6 @@ def late_average(
         raise ContractError(f"score vector dimensions differ: {sorted(dims)}")
     arr = np.asarray(step_scores, dtype=float)
     # a sum then a division by the count is what np.mean computes, bit for bit
-    if log_domain:
-        with np.errstate(divide="ignore"):
-            return np.exp(np.add.reduce(np.log(arr), axis=0) / len(arr))
     return np.add.reduce(arr, axis=0) / len(arr)
 
 
@@ -297,7 +275,6 @@ def _joint_hypothesis(
     final: bool,
     guard: _DeterminismGuard,
     max_new_tokens: int,
-    log_domain: bool = False,
 ) -> list[str]:
     """One greedy hypothesis from all members via stepwise late averaging.
 
@@ -329,7 +306,7 @@ def _joint_hypothesis(
                 if not result.step_scores:
                     raise EngineError(f"translator for {lang!r} returned no score vector")
             vectors.append(result.step_scores[cursors[m]])
-        combined = late_average(vectors, log_domain=log_domain)
+        combined = late_average(vectors)
         token = vocab.token(int(np.argmax(combined)))
         if token == EOS:
             break
@@ -351,32 +328,21 @@ def run_simul(
     translators: Mapping[str, IncrementalTranslator],
     sources: Mapping[str, TokenSequence],
     n: int,
-    *,
-    tie_order: Sequence[str] | None = None,
-    update_languages: Sequence[str] | None = None,
-    log_domain: bool = False,
 ) -> tuple[list[str], SimulEventLog]:
     """Stream all sources through a Local-Agreement-n policy.
 
     Single-source when one translator is given, multi-source late averaging
-    otherwise. Every Read counts one update toward LA-n; pass
-    ``update_languages`` to restrict update counting to a subset of languages
-    (reads of the others still advance prefixes but trigger no update). At
-    source exhaustion a Flush commits the rest of the latest hypothesis.
-    Committed output is append-only, so the log never contains Revise events.
+    otherwise. Every Read is one LA-n update. At source exhaustion a Flush
+    commits the rest of the latest hypothesis. Committed output is
+    append-only, so the log never contains Revise events.
     """
     if set(translators) != set(sources):
         raise ContractError("translators and sources must cover the same languages")
-    update_langs = set(update_languages) if update_languages is not None else set(sources)
-    if not update_langs <= set(sources):
-        raise ContractError(
-            f"update languages {sorted(update_langs - set(sources))} have no source"
-        )
     if sum(len(s.tokens) for s in sources.values()) == 0:
         raise ContractError("all sources are empty")
 
     vocab = _build_vocab(translators, sources)
-    schedule = schedule_reads(sources, tie_order)
+    schedule = schedule_reads(sources)
 
     max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     state = LocalAgreementState(n)
@@ -389,16 +355,12 @@ def run_simul(
         source = sources[slot.language]
         prefixes[slot.language] = source.prefix(slot.token_index + 1)
         log.append(ReadEvent(slot.language, source.tokens[slot.token_index]))
-        final = k == len(schedule) - 1
-        if slot.language not in update_langs and not final:
-            continue
         last_hypothesis = _joint_hypothesis(
-            translators, prefixes, state.committed, vocab, final, guard,
-            max_new_tokens, log_domain,
+            translators, prefixes, state.committed, vocab, k == len(schedule) - 1,
+            guard, max_new_tokens,
         )
-        if slot.language in update_langs:
-            for token in la_step(state, last_hypothesis):
-                log.append(WriteEvent(token))
+        for token in la_step(state, last_hypothesis):
+            log.append(WriteEvent(token))
 
     log.append(FlushEvent())
     for token in last_hypothesis[len(state.committed) :]:
@@ -410,8 +372,6 @@ def run_simul(
 def decode_full(
     translators: Mapping[str, IncrementalTranslator],
     sources: Mapping[str, TokenSequence],
-    *,
-    log_domain: bool = False,
 ) -> list[str]:
     """Offline greedy decoding of complete sources (late-averaged when multi)."""
     if set(translators) != set(sources):
@@ -419,71 +379,5 @@ def decode_full(
     vocab = _build_vocab(translators, sources)
     max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     return _joint_hypothesis(
-        translators, dict(sources), [], vocab, True, _DeterminismGuard(),
-        max_new_tokens, log_domain,
+        translators, dict(sources), [], vocab, True, _DeterminismGuard(), max_new_tokens
     )
-
-
-def run_retranslation(
-    translator: IncrementalTranslator,
-    source: TokenSequence,
-    language: str = "src",
-) -> tuple[list[str], SimulEventLog]:
-    """Re-translate from scratch after every read, logging Revise events.
-
-    This mode exists to measure erasure on translators whose prefix
-    hypotheses are unstable; it never forces a target prefix.
-    """
-    if len(source.tokens) == 0:
-        raise ContractError("source is empty")
-    vocab = Vocabulary(translator.output_tokens(source))
-    log = SimulEventLog()
-    buffer: list[str] = []
-    for i in range(1, len(source.tokens) + 1):
-        log.append(ReadEvent(language, source.tokens[i - 1]))
-        final = i == len(source.tokens)
-        result = translator.decode(source.prefix(i), [], vocab, final)
-        hyp = list(result.tokens)
-        common = len(_common_prefix([buffer, hyp]))
-        if common < len(buffer):
-            log.append(ReviseEvent(len(buffer) - common, tuple(hyp[common:])))
-        else:
-            for token in hyp[common:]:
-                log.append(WriteEvent(token))
-        buffer = hyp
-    log.append(FlushEvent())
-    return buffer, log
-
-
-def _round_up_to_word(sentence: TokenSequence, char_target: float) -> int:
-    """Smallest prefix length whose character coverage reaches ``char_target``."""
-    for k in range(1, len(sentence.tokens) + 1):
-        covered = sentence.char_offsets[k - 1] + len(sentence.tokens[k - 1])
-        if covered >= char_target:
-            return k
-    return len(sentence.tokens)
-
-
-def generate_prefix_pairs(
-    src: TokenSequence,
-    tgt: TokenSequence,
-    samples_per_pair: int = 5,
-    seed: int = 0,
-) -> list[tuple[TokenSequence, TokenSequence]]:
-    """Sample prefix pairs plus full pairs in a 1:1 mix.
-
-    Each sample draws one percentage from 1..90, shared by source and target,
-    takes that share of characters on both sides and rounds up to whole-word
-    boundaries. One full pair accompanies every prefix pair.
-    """
-    if len(src.tokens) == 0 or len(tgt.tokens) == 0:
-        raise ContractError("prefix pairs need non-empty source and target")
-    rng = np.random.default_rng(seed)
-    pairs: list[tuple[TokenSequence, TokenSequence]] = []
-    for _ in range(samples_per_pair):
-        percent = int(rng.integers(1, 91))
-        src_k = _round_up_to_word(src, percent / 100.0 * len(src.raw))
-        tgt_k = _round_up_to_word(tgt, percent / 100.0 * len(tgt.raw))
-        pairs.append((src.prefix(src_k), tgt.prefix(tgt_k)))
-        pairs.append((src, tgt))
-    return pairs

@@ -197,7 +197,7 @@ class ReferenceVocabulary:
         return vec
 
 
-def _reference_joint(translators, prefixes, committed, vocab, final, max_new, log_domain):
+def _reference_joint(translators, prefixes, committed, vocab, final, max_new):
     """Greedy late averaging that queries every member at every target step."""
     langs = list(translators)
     if len(langs) == 1:
@@ -209,14 +209,7 @@ def _reference_joint(translators, prefixes, committed, vocab, final, max_new, lo
         for lang in langs:
             result = translators[lang].decode(prefixes[lang], list(target), vocab, final)
             vectors.append([float(x) for x in result.step_scores[0]])
-        combined = []
-        for column in zip(*vectors):
-            if not log_domain:
-                combined.append(sum(column) / len(column))
-            elif min(column) == 0.0:
-                combined.append(0.0)
-            else:
-                combined.append(math.exp(sum(math.log(x) for x in column) / len(column)))
+        combined = [sum(column) / len(column) for column in zip(*vectors)]
         best = combined.index(max(combined))  # first maximum: EOS wins ties
         if best == 0:
             break
@@ -233,18 +226,16 @@ def _reference_common_prefix(seqs):
     return prefix
 
 
-def reference_run_simul(translators, sources, n, *, tie_order=None, update_languages=None,
-                        log_domain=False):
+def reference_run_simul(translators, sources, n):
     """LA-n streaming from its definition; events as ("read", lang, token),
     ("write", token) and ("flush",) tuples.
 
     Reads are ordered by the exact character fraction each token completes,
-    then by ``tie_order``, then by token index. Every update decodes the joint
-    hypothesis afresh and commits the common prefix of the whole ring of the
-    last ``n`` hypotheses.
+    then by the mapping order of ``sources``, then by token index. Every read
+    decodes the joint hypothesis afresh and commits the common prefix of the
+    whole ring of the last ``n`` hypotheses.
     """
-    order = list(tie_order) if tie_order is not None else list(sources)
-    updates = set(update_languages) if update_languages is not None else set(sources)
+    order = list(sources)
     tokens = set()
     for lang, translator in translators.items():
         tokens |= translator.output_tokens(sources[lang])
@@ -262,29 +253,24 @@ def reference_run_simul(translators, sources, n, *, tie_order=None, update_langu
         lengths[lang] += 1
         events.append(("read", lang, sources[lang].tokens[i]))
         final = k == len(slots) - 1
-        if lang not in updates and not final:
-            continue
         prefixes = {name: sources[name].prefix(length) for name, length in lengths.items()}
-        hypothesis = _reference_joint(
-            translators, prefixes, committed, vocab, final, max_new, log_domain
-        )
-        if lang in updates:
-            ring = (ring + [hypothesis])[-n:]
-            if len(ring) == n:
-                new = _reference_common_prefix(ring)[len(committed):]
-                events.extend(("write", token) for token in new)
-                committed = committed + new
+        hypothesis = _reference_joint(translators, prefixes, committed, vocab, final, max_new)
+        ring = (ring + [hypothesis])[-n:]
+        if len(ring) == n:
+            new = _reference_common_prefix(ring)[len(committed):]
+            events.extend(("write", token) for token in new)
+            committed = committed + new
     events.append(("flush",))
     events.extend(("write", token) for token in hypothesis[len(committed):])
     return committed + hypothesis[len(committed):], events
 
 
-def reference_decode_full(translators, sources, *, log_domain=False):
+def reference_decode_full(translators, sources):
     """Offline joint greedy decoding of the complete sources."""
     tokens = set()
     for lang, translator in translators.items():
         tokens |= translator.output_tokens(sources[lang])
     max_new = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     return _reference_joint(
-        translators, dict(sources), [], ReferenceVocabulary(tokens), True, max_new, log_domain
+        translators, dict(sources), [], ReferenceVocabulary(tokens), True, max_new
     )

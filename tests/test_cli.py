@@ -230,6 +230,42 @@ class TestNoiseCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("row", ["a\t\t1.0", "a\tb c\t1.0", "\t\t1.0", "\tb c\t1.0"])
+    def test_model_word_not_one_token_exit_code(self, tmp_path, capsys, row):
+        # a substitution or insertion word must stay one token of the output
+        header = ["lexical-noise-model\t1", "p_insert\t0.5", "p_delete\t0.0",
+                  "p_substitute\t0.999", "scale_c\t1.0"]
+        _write(tmp_path / "model.tsv", header + [row])
+        _write(tmp_path / "in.txt", ["a a a a"])
+        code = main(
+            [
+                "noise-apply",
+                "--model", str(tmp_path / "model.tsv"),
+                "--seed", "1",
+                "--in", str(tmp_path / "in.txt"),
+                "--out", str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 2
+        assert "malformed line 6" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_bad_utf8_model_exit_code(self, tmp_path, capsys, workspace):
+        model = (workspace / "noise_en.tsv").read_bytes()
+        (tmp_path / "model.tsv").write_bytes(model + b"\xff\tq\t1.0\n")
+        code = main(
+            [
+                "noise-apply",
+                "--model", str(tmp_path / "model.tsv"),
+                "--seed", "1",
+                "--in", str(workspace / "en.txt"),
+                "--out", str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 2
+        line = model.count(b"\n") + 1
+        assert f"UTF-8 decoding failed on line {line}" in capsys.readouterr().err
+
 
 class TestIndependenceCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -286,7 +322,7 @@ class TestSimulateCommand:
         }
         columns = {"en": [TokenSequence.from_raw("a")], "de": [TokenSequence.from_raw("a")]}
         columns[empty] = [TokenSequence.from_raw("")]
-        outputs, als, nes = _run_system(translators, columns, 2, ["en", "de"], "en")
+        outputs, als, nes = _run_system(translators, columns, 2, "en")
         assert len(outputs) == 1
         assert (als, nes) == ([], [])
         assert "1 of 1 sentences left out of AL/NE" in capsys.readouterr().err
@@ -318,6 +354,21 @@ class TestSimulateCommand:
         kept = [line for i, line in enumerate(EN_LINES) if i != 1]
         expected, _ = simulate(kept, kept)
         assert rows == expected
+
+    def test_bad_utf8_lexicon_exit_code(self, workspace, capsys):
+        (workspace / "lex_en.tsv").write_bytes(b"e01\tc01\n\xff\tc02\n")
+        code = main(
+            [
+                "simulate",
+                "--source", f"en={workspace / 'en.txt'}",
+                "--lexicon", f"en={workspace / 'lex_en.tsv'}",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err
+        assert "UTF-8 decoding failed on line 2" in captured.err
+        assert captured.out == ""
 
     def test_la_n_below_one_exit_code(self, workspace, capsys):
         code = main(

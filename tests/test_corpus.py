@@ -25,16 +25,16 @@ from oracles import reference_tokenize_13a
 
 class TestTokenize13a:
     def test_punctuation_split(self):
-        assert tokenize_13a("Hello, world!").tokens == ("Hello", ",", "world", "!")
+        assert tokenize_13a("Hello, world!") == ("Hello", ",", "world", "!")
 
     def test_empty(self):
-        assert tokenize_13a("").tokens == ()
+        assert tokenize_13a("") == ()
 
     def test_already_separated(self):
-        assert tokenize_13a("a b").tokens == ("a", "b")
+        assert tokenize_13a("a b") == ("a", "b")
 
     def test_numbers_keep_decimal_point(self):
-        assert tokenize_13a("rose by 4.5 percent").tokens == (
+        assert tokenize_13a("rose by 4.5 percent") == (
             "rose",
             "by",
             "4.5",
@@ -42,25 +42,24 @@ class TestTokenize13a:
         )
 
     def test_entities_and_skipped(self):
-        assert tokenize_13a("a &amp; b <skipped> c").tokens == ("a", "&", "b", "c")
+        assert tokenize_13a("a &amp; b <skipped> c") == ("a", "&", "b", "c")
 
     def test_matches_reference_tokenizer_on_fixture(self, fixture_corpus):
         hyps, refs, refs_b = fixture_corpus
         for line in hyps + refs + refs_b:
-            assert list(tokenize_13a(line).tokens) == reference_tokenize_13a(line)
+            assert list(tokenize_13a(line)) == reference_tokenize_13a(line)
 
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_tokenizer_property(self, text):
-        assert list(tokenize_13a(text).tokens) == reference_tokenize_13a(text)
+        assert list(tokenize_13a(text)) == reference_tokenize_13a(text)
 
     @given(st.text(max_size=60))
     @example("..0")  # ('.', '.0'), whose re-join re-tokenizes as ('.', '.', '0')
     @settings(max_examples=100, deadline=None)
     def test_rejoin_matches_reference_tokenizer(self, text):
-        once = tokenize_13a(text)
-        assert once.raw == " ".join(once.tokens)
-        assert list(tokenize_13a(once.raw).tokens) == reference_tokenize_13a(once.raw)
+        rejoined = " ".join(tokenize_13a(text))
+        assert list(tokenize_13a(rejoined)) == reference_tokenize_13a(rejoined)
 
 
 class TestTokenSequence:
@@ -81,6 +80,10 @@ class TestTokenSequence:
         assert seq.prefix(2).raw == "ab  cd"
         assert seq.prefix(0).tokens == ()
         assert seq.prefix(3).raw == seq.raw
+        for k in range(4):
+            # the unchecked prefix is what the validating constructor accepts
+            prefix = seq.prefix(k)
+            assert prefix == TokenSequence(prefix.tokens, prefix.raw, prefix.char_offsets)
 
     def test_prefix_out_of_range(self):
         with pytest.raises(ContractError):
@@ -196,14 +199,6 @@ class TestWordAlignment:
             load_word_alignment(tmp_path / "al.txt")
         assert "line 2" in str(exc.value) and "column 5" in str(exc.value)
         assert "a-b" in str(exc.value)
-
-    def test_validate_bounds(self):
-        from multisimul.corpus import WordAlignment
-
-        al = WordAlignment(frozenset({(0, 0), (3, 1)}))
-        with pytest.raises(ContractError):
-            al.validate(2, 2)
-        al.validate(4, 2)
 
 
 class TestParallelDocument:
