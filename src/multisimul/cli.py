@@ -105,6 +105,8 @@ def cmd_noise_train(args: argparse.Namespace) -> int:
 def cmd_noise_apply(args: argparse.Namespace) -> int:
     model = noise.load_model(args.model)
     if args.target_wer is not None:
+        if not 0 <= args.target_wer < math.inf:
+            raise ConfigError(f"--target-wer needs a finite value >= 0, got {args.target_wer}")
         model = noise.rescale_to_wer(model, args.target_wer)
         _progress(f"rescaled by c={model.scale_c:.6f}")
     sentences = [TokenSequence.from_raw(line) for line in _read_lines(args.input)]

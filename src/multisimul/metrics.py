@@ -53,8 +53,7 @@ def _tokens(seq: Tokens) -> list[str]:
     return list(seq)
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     kind: str
     gold: str | None = None
     hyp: str | None = None
@@ -89,38 +88,62 @@ def align_edit(gold: Tokens, hyp: Tokens) -> EditScript:
 
     When costs tie the left-to-right walk prefers Copy over Substitute over
     Delete over Insert.
+
+    The walk reads suffix distances dist(i, j) between g[i:] and h[j:]. They
+    are prefix distances of the reversed pair, computed one reversed gold
+    token at a time by Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's
+    global edit-distance form (2001): bit r of a column's VP/VN is +1/-1 for
+    the step from reversed-hyp prefix length r to r + 1.
     """
     g = _tokens(gold)
     h = _tokens(hyp)
     n, m = len(g), len(h)
-    # dist[i][j] = edit distance between g[i:] and h[j:]
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(m + 1):
-        dist[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        dist[i][m] = n - i
-        row, below = dist[i], dist[i + 1]
-        for j in range(m - 1, -1, -1):
-            diag = below[j + 1] + (g[i] != h[j])
-            row[j] = min(diag, below[j] + 1, row[j + 1] + 1)
+    full = (1 << m) - 1
+    peq: dict[str, int] = {}
+    for r, token in enumerate(reversed(h)):
+        peq[token] = peq.get(token, 0) | (1 << r)
+    vp, vn = full, 0
+    # column c holds the deltas of the reversed gold prefix of length c
+    vps, vns = [vp], [vn]
+    for token in reversed(g):
+        eq = peq.get(token, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        ph = (ph << 1) | 1
+        mh <<= 1
+        vp = (mh | ~(xv | ph)) & full
+        vn = ph & xv & full
+        vps.append(vp)
+        vns.append(vn)
+
+    def dist(i: int, j: int) -> int:
+        c, mask = n - i, (1 << (m - j)) - 1
+        return c + (vps[c] & mask).bit_count() - (vns[c] & mask).bit_count()
+
     ops: list[EditOp] = []
     i = j = 0
+    d = dist(0, 0)  # carried forward: the distance of the current cell
     while i < n or j < m:
-        d = dist[i][j]
-        if i < n and j < m and g[i] == h[j] and d == dist[i + 1][j + 1]:
-            ops.append(EditOp(COPY, gold=g[i], hyp=h[j]))
+        if i < n and j < m and g[i] == h[j]:
+            # adjacent distances differ by at most 1, so a match is always
+            # optimal: dist(i + 1, j + 1) == d needs no check
+            ops.append(EditOp(COPY, g[i], h[j]))
             i += 1
             j += 1
-        elif i < n and j < m and g[i] != h[j] and d == 1 + dist[i + 1][j + 1]:
-            ops.append(EditOp(SUBSTITUTE, gold=g[i], hyp=h[j]))
+            continue
+        if i < n and j < m and d == 1 + dist(i + 1, j + 1):
+            ops.append(EditOp(SUBSTITUTE, g[i], h[j]))
             i += 1
             j += 1
-        elif i < n and d == 1 + dist[i + 1][j]:
-            ops.append(EditOp(DELETE, gold=g[i]))
+        elif i < n and d == 1 + dist(i + 1, j):
+            ops.append(EditOp(DELETE, g[i]))
             i += 1
         else:
-            ops.append(EditOp(INSERT, hyp=h[j]))
+            ops.append(EditOp(INSERT, None, h[j]))
             j += 1
+        d -= 1
     return EditScript(tuple(ops))
 
 
@@ -243,8 +266,14 @@ def _ngram_counts(seq: Sequence, order: int) -> list[Counter]:
 
 def _matches(hyp: Counter, ref: Counter) -> int:
     """Clipped matches: the smaller count of every n-gram the two share."""
-    shared = hyp.keys() & ref.keys()
-    return sum(map(min, map(hyp.__getitem__, shared), map(ref.__getitem__, shared)))
+    if len(hyp) > len(ref):
+        hyp, ref = ref, hyp
+    get = ref.get
+    total = 0
+    for gram, count in hyp.items():
+        other = get(gram, 0)
+        total += count if count < other else other
+    return total
 
 
 # Per-segment sufficient statistics. Each metric has a reference side, built

@@ -24,7 +24,8 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
+        # each side must be one token: non-empty, no whitespace
+        if len(fields) != 2 or line.split() != fields:
             raise InputError(f"{path}: malformed lexicon entry at line {lineno}: {line!r}")
         lexicon[fields[0]] = fields[1]
     return lexicon

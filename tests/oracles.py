@@ -40,6 +40,48 @@ def edit_distance_recursive(gold: Sequence[str], hyp: Sequence[str]) -> int:
     return solve(0, 0)
 
 
+def reference_align_edit(
+    gold: Sequence[str], hyp: Sequence[str]
+) -> list[tuple[str, str | None, str | None]]:
+    """Full (n+1) x (m+1) suffix-distance table, then a left-to-right walk.
+
+    Returns (kind, gold, hyp) triples with the package's kind names. When
+    costs tie the walk prefers Copy over Substitute over Delete over Insert.
+    """
+    g = list(gold)
+    h = list(hyp)
+    n, m = len(g), len(h)
+    # dist[i][j] = edit distance between g[i:] and h[j:]
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for j in range(m + 1):
+        dist[n][j] = m - j
+    for i in range(n - 1, -1, -1):
+        dist[i][m] = n - i
+        row, below = dist[i], dist[i + 1]
+        for j in range(m - 1, -1, -1):
+            diag = below[j + 1] + (g[i] != h[j])
+            row[j] = min(diag, below[j] + 1, row[j + 1] + 1)
+    ops: list[tuple[str, str | None, str | None]] = []
+    i = j = 0
+    while i < n or j < m:
+        d = dist[i][j]
+        if i < n and j < m and g[i] == h[j] and d == dist[i + 1][j + 1]:
+            ops.append(("copy", g[i], h[j]))
+            i += 1
+            j += 1
+        elif i < n and j < m and g[i] != h[j] and d == 1 + dist[i + 1][j + 1]:
+            ops.append(("sub", g[i], h[j]))
+            i += 1
+            j += 1
+        elif i < n and d == 1 + dist[i + 1][j]:
+            ops.append(("del", g[i], None))
+            i += 1
+        else:
+            ops.append(("ins", None, h[j]))
+            j += 1
+    return ops
+
+
 def reference_tokenize_13a(line: str) -> list[str]:
     """Second, independently-typed transcription of the mteval-13a rules."""
     text = line.replace("<skipped>", "")

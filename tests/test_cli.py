@@ -230,6 +230,23 @@ class TestNoiseCommands:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("target", ["-0.1", "nan", "inf"])
+    def test_bad_target_wer_exit_code(self, tmp_path, capsys, workspace, target):
+        # a bad command-line value is a configuration error, as in the sweep
+        code = main(
+            [
+                "noise-apply",
+                "--model", str(workspace / "noise_en.tsv"),
+                "--target-wer", target,
+                "--seed", "3",
+                "--in", str(workspace / "en.txt"),
+                "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 3
+        assert "config error: --target-wer" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
     @pytest.mark.parametrize("row", ["a\t\t1.0", "a\tb c\t1.0", "\t\t1.0", "\tb c\t1.0"])
     def test_model_word_not_one_token_exit_code(self, tmp_path, capsys, row):
         # a substitution or insertion word must stay one token of the output
@@ -369,6 +386,26 @@ class TestSimulateCommand:
         assert "input error" in captured.err
         assert "UTF-8 decoding failed on line 2" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("row", ["a\tx y", "a b\tx", "a\t"])
+    def test_lexicon_field_not_one_token_exit_code(self, tmp_path, capsys, row):
+        # one engine token must stay one output word, or AL and BLEU disagree
+        _write(tmp_path / "lex.tsv", ["b\tz", row])
+        _write(tmp_path / "src.txt", ["a b"])
+        code = main(
+            [
+                "simulate",
+                "--source", f"en={tmp_path / 'src.txt'}",
+                "--lexicon", f"en={tmp_path / 'lex.tsv'}",
+                "--la-n", "1",
+                "--out", str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "malformed lexicon entry at line 2" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.txt").exists()
 
     def test_la_n_below_one_exit_code(self, workspace, capsys):
         code = main(

@@ -39,6 +39,7 @@ from oracles import (
     chi_square_quantile_99,
     chi_square_statistic_exact,
     edit_distance_recursive,
+    reference_align_edit,
     reference_bleu,
     reference_chrf2,
 )
@@ -94,6 +95,51 @@ class TestAlignEdit:
         # the walk must keep the Copy.
         ops = align_edit(["a"], ["b", "a"]).ops
         assert [op.kind for op in ops] == [INSERT, COPY]
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.sampled_from("abcdef"[:k]), max_size=20),
+                st.lists(st.sampled_from("abcdef"[:k]), max_size=20),
+            )
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(([], []))
+    @example(([], ["a"]))
+    @example((["a"], []))
+    def test_ops_match_table_oracle(self, pair):
+        gold, hyp = pair
+        assert list(align_edit(gold, hyp).ops) == reference_align_edit(gold, hyp)
+
+    def test_ops_match_table_oracle_beyond_one_word(self):
+        # both sides longer than 64 tokens: the bit vectors span several words
+        rng = random.Random(2024)
+        vocab = [f"w{k}" for k in range(12)]
+        for _ in range(20):
+            gold = [rng.choice(vocab) for _ in range(rng.randint(65, 170))]
+            hyp = []
+            for token in gold:
+                r = rng.random()
+                if r < 0.1:
+                    continue  # deletion
+                hyp.append(rng.choice(vocab) if r < 0.25 else token)
+                if rng.random() < 0.05:
+                    hyp.append(rng.choice(vocab))  # insertion
+            while len(hyp) < 65:
+                hyp.append(rng.choice(vocab))
+            assert 65 <= len(hyp) <= 200
+            assert list(align_edit(gold, hyp).ops) == reference_align_edit(gold, hyp)
+
+    def test_edit_op_construction_and_equality(self):
+        assert EditOp(COPY, "a", "a") == EditOp(kind=COPY, gold="a", hyp="a")
+        assert (EditOp(DELETE, "d").gold, EditOp(DELETE, "d").hyp) == ("d", None)
+        assert (EditOp(INSERT, hyp="z").gold, EditOp(INSERT, hyp="z").hyp) == (None, "z")
+        assert EditOp(DELETE, "d") != EditOp(INSERT, hyp="d")
+        assert hash(EditOp(COPY, "a", "a")) == hash(EditOp(COPY, "a", "a"))
+        assert len({EditOp(COPY, "a", "a"), EditOp(COPY, "a", "a")}) == 1
+        with pytest.raises(AttributeError):
+            EditOp(COPY, "a", "a").kind = SUBSTITUTE
 
 
 class TestWer:
