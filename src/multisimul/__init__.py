@@ -1,7 +1,6 @@
 """Multi-source simultaneous translation simulation under ASR-like lexical noise."""
 
 from .corpus import (
-    ParallelDocument,
     TokenSequence,
     TranscriptPair,
     WordAlignment,

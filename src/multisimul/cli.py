@@ -14,12 +14,13 @@ from . import metrics, noise
 from .corpus import (
     TokenSequence,
     _read_lines,
+    check_line_counts,
     load_parallel,
     load_transcript_pairs,
     load_word_alignment,
+    read_aligned,
 )
 from .errors import (
-    AlignmentMismatchError,
     ConfigError,
     ContractError,
     EngineError,
@@ -51,21 +52,14 @@ def _write_tsv(path: Path, rows: Iterable[Sequence[str]]) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    hyps = _read_lines(args.hyps)
-    refs = [_read_lines(path) for path in args.refs]
-    parallel = list(zip(args.refs, refs))
-    if args.compare is not None:
-        sys_b = _read_lines(args.compare)
-        parallel.append((args.compare, sys_b))
-    for path, lines in parallel:
-        if len(lines) != len(hyps):
-            raise AlignmentMismatchError(
-                f"line-count mismatch: {args.hyps} has {len(hyps)} lines but "
-                f"{path} has {len(lines)}"
-            )
+    compare = [] if args.compare is None else [args.compare]
+    if compare and args.resamples < 100:
+        raise ConfigError(f"--resamples needs at least 100, got {args.resamples}")
+    hyps, *refs = read_aligned([args.hyps, *args.refs, *compare])
+    sys_b = refs.pop() if compare else None
     if not hyps:
         raise InputError(f"{args.hyps} has no segments to score")
-    if args.compare is None:
+    if sys_b is None:
         scores = {"bleu": metrics.bleu(hyps, refs), "chrf2": metrics.chrf2(hyps, refs)}
         p_rows = []
     else:
@@ -92,6 +86,8 @@ def cmd_noise_train(args: argparse.Namespace) -> int:
         args.gold, args.asr,
         lowercase=not args.keep_case, strip_punct=args.strip_punct,
     )
+    if not any(pair.gold.tokens for pair in pairs):
+        raise InputError(f"{args.gold} has no gold tokens to train on")
     model = noise.train_noise_model(pairs)
     noise.save_model(model, args.out)
     _progress(
@@ -128,6 +124,12 @@ def cmd_independence(args: argparse.Namespace) -> int:
         lowercase=not args.keep_case, strip_punct=args.strip_punct,
     )
     alignments = load_word_alignment(args.align)
+    check_line_counts(
+        [(args.src_gold, len(src_pairs)), (args.tgt_gold, len(tgt_pairs)),
+         (args.align, len(alignments))]
+    )
+    if not any(pair.gold.tokens for pair in src_pairs):
+        raise InputError(f"{args.src_gold} has no gold tokens")
     report = analyze_independence(
         src_pairs, tgt_pairs, alignments, alpha=args.alpha, yates=args.yates
     )
@@ -154,6 +156,18 @@ def _parse_lang_file(values: Sequence[str], flag: str) -> dict[str, Path]:
         lang, _, path = value.partition("=")
         out[lang] = Path(path)
     return out
+
+
+def _load_sources(
+    sources: dict[str, Path], ref_paths: Sequence[str | Path]
+) -> tuple[dict[str, list[TokenSequence]], list[list[str]]]:
+    """Source columns and reference sets, all with the same line count."""
+    columns = load_parallel(sources)
+    refs = [_read_lines(path) for path in ref_paths]
+    check_line_counts(
+        [*zip(sources.values(), map(len, columns.values())), *zip(ref_paths, map(len, refs))]
+    )
+    return columns, refs
 
 
 def _run_system(
@@ -202,8 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     primary = args.primary or languages[0]
     if primary not in languages:
         raise ConfigError(f"primary language {primary!r} has no source")
-    doc = load_parallel(source_paths)
-    columns = {lang: doc.column(lang) for lang in languages}
+    columns, refs = _load_sources(source_paths, args.refs or [])
     translators = {
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in lexicon_paths.items()
@@ -214,8 +227,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "".join(line + "\n" for line in outputs), encoding="utf-8"
         )
     rows = [("al", f"{_mean_or_zero(als):.4f}"), ("ne", f"{_mean_or_zero(nes):.4f}")]
-    if args.refs:
-        refs = [_read_lines(p) for p in args.refs]
+    if refs:
         rows.insert(0, ("chrf2", f"{metrics.chrf2(outputs, refs):.4f}"))
         rows.insert(0, ("bleu", f"{metrics.bleu(outputs, refs):.4f}"))
     for row in rows:
@@ -352,14 +364,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    doc = load_parallel(config.sources)
-    refs = [_read_lines(config.reference)]
-    if len(refs[0]) != len(doc):
-        raise AlignmentMismatchError(
-            f"line-count mismatch: the sources have {len(doc)} lines but "
-            f"{config.reference} has {len(refs[0])}"
-        )
-    clean = {lang: doc.column(lang) for lang in config.languages}
+    clean, refs = _load_sources(config.sources, [config.reference])
     translators = {
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in config.lexicons.items()

@@ -1,4 +1,4 @@
-"""Data model and ingestion: token sequences, parallel documents, transcripts, alignments."""
+"""Data model and ingestion: token sequences, line-aligned files, transcripts, alignments."""
 
 from __future__ import annotations
 
@@ -12,14 +12,14 @@ from .errors import AlignmentMismatchError, ContractError, InputError, ParseErro
 
 __all__ = [
     "TokenSequence",
-    "ParallelDocument",
     "TranscriptPair",
     "WordAlignment",
     "tokenize_13a",
     "normalize_transcript",
+    "check_line_counts",
+    "read_aligned",
     "load_parallel",
     "load_transcript_pairs",
-    "save_parallel",
     "load_word_alignment",
     "char_fraction",
 ]
@@ -92,28 +92,6 @@ class TokenSequence:
             tokens=self.tokens[:k], raw=self.raw[:end], char_offsets=self.char_offsets[:k]
         )
         return seq
-
-
-@dataclass(frozen=True)
-class ParallelDocument:
-    """Line-aligned sentences in two or more languages."""
-
-    languages: tuple[str, ...]
-    sentences: tuple[tuple[TokenSequence, ...], ...]
-
-    def __post_init__(self) -> None:
-        for i, tup in enumerate(self.sentences):
-            if len(tup) != len(self.languages):
-                raise ContractError(
-                    f"sentence {i} has {len(tup)} entries, expected {len(self.languages)}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def column(self, language: str) -> list[TokenSequence]:
-        idx = self.languages.index(language)
-        return [tup[idx] for tup in self.sentences]
 
 
 @dataclass(frozen=True)
@@ -192,34 +170,36 @@ def _read_lines(path: str | Path) -> list[str]:
     return text.split("\n") if text else []
 
 
-def load_parallel(paths: Mapping[str, str | Path]) -> ParallelDocument:
-    """Load one sentence-per-line file per language into a ParallelDocument."""
+def check_line_counts(counts: Iterable[tuple[str | Path, int]]) -> None:
+    """Line-aligned files must have equal line counts.
+
+    ``counts`` holds (path, line count) pairs; each is compared with the
+    first, and the first that differs is named with it.
+    """
+    (first, n), *rest = counts
+    for path, count in rest:
+        if count != n:
+            raise AlignmentMismatchError(
+                f"line-count mismatch: {first} has {n} lines but {path} has {count}"
+            )
+
+
+def read_aligned(paths: Sequence[str | Path]) -> list[list[str]]:
+    """The lines of each file, which must all have the same line count."""
+    columns = [_read_lines(path) for path in paths]
+    check_line_counts(zip(paths, map(len, columns)))
+    return columns
+
+
+def load_parallel(paths: Mapping[str, str | Path]) -> dict[str, list[TokenSequence]]:
+    """Load one sentence-per-line file per language into its column of sentences."""
     if not paths:
         raise ContractError("at least one language file is required")
-    languages = tuple(paths)
-    columns: dict[str, list[str]] = {}
-    for lang, path in paths.items():
-        columns[lang] = _read_lines(path)
-    counts = {lang: len(lines) for lang, lines in columns.items()}
-    first_lang = languages[0]
-    for lang in languages[1:]:
-        if counts[lang] != counts[first_lang]:
-            raise AlignmentMismatchError(
-                f"line-count mismatch: {paths[first_lang]} has {counts[first_lang]} "
-                f"lines but {paths[lang]} has {counts[lang]}"
-            )
-    sentences = tuple(
-        tuple(TokenSequence.from_raw(columns[lang][i]) for lang in languages)
-        for i in range(counts[first_lang])
-    )
-    return ParallelDocument(languages, sentences)
-
-
-def save_parallel(doc: ParallelDocument, paths: Mapping[str, str | Path]) -> None:
-    """Write a ParallelDocument back to one file per language."""
-    for lang, path in paths.items():
-        lines = [seq.raw for seq in doc.column(lang)]
-        Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    columns = read_aligned(list(paths.values()))
+    return {
+        lang: [TokenSequence.from_raw(line) for line in lines]
+        for lang, lines in zip(paths, columns)
+    }
 
 
 def load_transcript_pairs(
@@ -230,13 +210,7 @@ def load_transcript_pairs(
     strip_punct: bool = False,
 ) -> list[TranscriptPair]:
     """Load line-aligned gold and ASR transcripts, applying normalization toggles."""
-    gold_lines = _read_lines(gold_path)
-    hyp_lines = _read_lines(hyp_path)
-    if len(gold_lines) != len(hyp_lines):
-        raise AlignmentMismatchError(
-            f"line-count mismatch: {gold_path} has {len(gold_lines)} lines but "
-            f"{hyp_path} has {len(hyp_lines)}"
-        )
+    gold_lines, hyp_lines = read_aligned([gold_path, hyp_path])
     return [
         TranscriptPair(
             normalize_transcript(g, lowercase=lowercase, strip_punct=strip_punct),

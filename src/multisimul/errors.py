@@ -25,7 +25,7 @@ class ConfigError(MultisimulError):
     """Invalid experiment configuration."""
 
 
-class DegenerateTableError(MultisimulError):
+class DegenerateTableError(InputError):
     """A contingency table has a zero marginal and cannot be tested."""
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import TranscriptPair, WordAlignment
-from .errors import ContractError
+from .errors import AlignmentMismatchError, ContractError
 from .metrics import (
     ChiSquareResult,
     Contingency2x2,
@@ -34,7 +34,7 @@ def _project_sentence(
     pairs = []
     for i, j in sorted(alignment.links):
         if i >= len(src_ok) or j >= len(tgt_ok):
-            raise ContractError(
+            raise AlignmentMismatchError(
                 f"sentence {sentence_index}: alignment link ({i},{j}) out of range "
                 f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
             )

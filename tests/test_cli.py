@@ -284,23 +284,27 @@ class TestNoiseCommands:
         assert f"UTF-8 decoding failed on line {line}" in capsys.readouterr().err
 
 
+INDEPENDENCE_FILES = {
+    "src_gold": ["a b", "c d", "e f", "g h"],
+    "src_asr": ["a b", "c X", "e f", "Y h"],
+    "tgt_gold": ["p q", "r s", "t u", "v w"],
+    "tgt_asr": ["p Z", "r s", "t u", "W w"],
+    "align": ["0-0 1-1"] * 4,
+}
+
+
+def _independence_argv(path, **lines):
+    """Write the independence inputs, with ``lines`` replacing some files."""
+    argv = ["independence"]
+    for name, default in INDEPENDENCE_FILES.items():
+        _write(path / f"{name}.txt", lines.get(name, default))
+        argv += [f"--{name.replace('_', '-')}", str(path / f"{name}.txt")]
+    return argv
+
+
 class TestIndependenceCommand:
     def test_report_fields(self, tmp_path, capsys):
-        _write(tmp_path / "src_gold.txt", ["a b", "c d", "e f", "g h"])
-        _write(tmp_path / "src_asr.txt", ["a b", "c X", "e f", "Y h"])
-        _write(tmp_path / "tgt_gold.txt", ["p q", "r s", "t u", "v w"])
-        _write(tmp_path / "tgt_asr.txt", ["p Z", "r s", "t u", "W w"])
-        _write(tmp_path / "align.txt", ["0-0 1-1"] * 4)
-        code = main(
-            [
-                "independence",
-                "--src-gold", str(tmp_path / "src_gold.txt"),
-                "--src-asr", str(tmp_path / "src_asr.txt"),
-                "--tgt-gold", str(tmp_path / "tgt_gold.txt"),
-                "--tgt-asr", str(tmp_path / "tgt_asr.txt"),
-                "--align", str(tmp_path / "align.txt"),
-            ]
-        )
+        code = main(_independence_argv(tmp_path))
         assert code == 0
         out = capsys.readouterr().out
         fields = dict(
@@ -569,3 +573,93 @@ class TestSweep:
         assert digests == expected
         _, summary = _read_tsv(out_dir / "summary.tsv")
         assert [row["la_n"] for row in summary[:2]] == ["10", "2"]  # text order
+
+
+def _simulate_short_refs(path):
+    _write(path / "ref.txt", CS_LINES[:-1])
+    return [
+        "simulate",
+        "--source", f"en={path / 'en.txt'}",
+        "--lexicon", f"en={path / 'lex_en.tsv'}",
+        "--refs", str(path / "ref.txt"),
+    ]
+
+
+def _noise_train(path, gold):
+    _write(path / "gold.txt", gold)
+    _write(path / "asr.txt", ["a b"] * len(gold))
+    return [
+        "noise-train",
+        "--gold", str(path / "gold.txt"),
+        "--asr", str(path / "asr.txt"),
+        "--out", str(path / "model.tsv"),
+    ]
+
+
+# (case, function that writes the inputs and returns argv, exit code, text that
+# stderr must name)
+BAD_INPUTS = [
+    ("simulate-refs-short", _simulate_short_refs, 2, "ref.txt has 3"),
+    (
+        "independence-target-short",
+        lambda p: _independence_argv(
+            p, tgt_gold=INDEPENDENCE_FILES["tgt_gold"][:3],
+            tgt_asr=INDEPENDENCE_FILES["tgt_asr"][:3],
+        ),
+        2,
+        "tgt_gold.txt has 3",
+    ),
+    (
+        "independence-alignment-short",
+        lambda p: _independence_argv(p, align=["0-0 1-1"] * 3),
+        2,
+        "align.txt has 3",
+    ),
+    (
+        "independence-link-outside-gold",
+        lambda p: _independence_argv(p, align=["0-0 5-5"] + ["0-0"] * 3),
+        2,
+        "sentence 0: alignment link (5,5)",
+    ),
+    (
+        "independence-degenerate-table",
+        lambda p: _independence_argv(p, src_asr=INDEPENDENCE_FILES["src_gold"]),
+        2,
+        "degenerate table",
+    ),
+    (
+        "independence-blank-source-gold",
+        lambda p: _independence_argv(p, src_gold=[""] * 4, src_asr=[""] * 4),
+        2,
+        "src_gold.txt has no gold tokens",
+    ),
+    (
+        "score-resamples-below-100",
+        # the files do not exist: the value is rejected before any is read
+        lambda p: [
+            "score", "--hyps", str(p / "nope.txt"), "--refs", str(p / "nope.txt"),
+            "--compare", str(p / "nope.txt"), "--resamples", "50",
+        ],
+        3,
+        "--resamples needs at least 100, got 50",
+    ),
+    ("noise-train-empty-gold", lambda p: _noise_train(p, []), 2, "gold.txt has no gold tokens"),
+    (
+        "noise-train-blank-gold",
+        lambda p: _noise_train(p, ["", " "]),
+        2,
+        "gold.txt has no gold tokens",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, code, named", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exit_code(workspace, capsys, build, code, named):
+    exit_code = main(build(workspace))
+    assert exit_code == code
+    assert exit_code != 1  # 1 is the catch-all for package errors with no documented code
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err

@@ -3,14 +3,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import (
-    ParallelDocument,
     TokenSequence,
     char_fraction,
     load_parallel,
     load_transcript_pairs,
     load_word_alignment,
     normalize_transcript,
-    save_parallel,
     tokenize_13a,
 )
 from multisimul.errors import (
@@ -125,10 +123,11 @@ class TestLoaders:
     def test_load_parallel(self, tmp_path):
         (tmp_path / "en.txt").write_text("a b\nc\nd e f\n", encoding="utf-8")
         (tmp_path / "de.txt").write_text("x\ny z\nw\n", encoding="utf-8")
-        doc = load_parallel({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
-        assert len(doc) == 3
-        assert doc.column("en")[2].tokens == ("d", "e", "f")
-        assert doc.column("de")[0].tokens == ("x",)
+        columns = load_parallel({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
+        assert list(columns) == ["en", "de"]
+        assert [len(column) for column in columns.values()] == [3, 3]
+        assert columns["en"][2].tokens == ("d", "e", "f")
+        assert columns["de"][0].tokens == ("x",)
 
     def test_line_count_mismatch_names_both_files(self, tmp_path):
         (tmp_path / "a.txt").write_text("1\n2\n3\n", encoding="utf-8")
@@ -141,28 +140,19 @@ class TestLoaders:
     def test_empty_files(self, tmp_path):
         (tmp_path / "a.txt").write_text("", encoding="utf-8")
         (tmp_path / "b.txt").write_text("", encoding="utf-8")
-        doc = load_parallel({"a": tmp_path / "a.txt", "b": tmp_path / "b.txt"})
-        assert len(doc) == 0
+        columns = load_parallel({"a": tmp_path / "a.txt", "b": tmp_path / "b.txt"})
+        assert columns == {"a": [], "b": []}
 
     def test_crlf_normalized(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"a b\r\nc d\r\n")
-        doc = load_parallel({"a": tmp_path / "a.txt"})
-        assert [s[0].tokens for s in doc.sentences] == [("a", "b"), ("c", "d")]
+        columns = load_parallel({"a": tmp_path / "a.txt"})
+        assert [s.tokens for s in columns["a"]] == [("a", "b"), ("c", "d")]
 
     def test_bad_utf8_reports_line(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"ok\n\xff\xfe\n")
         with pytest.raises(InputError) as exc:
             load_parallel({"a": tmp_path / "a.txt"})
         assert "line 2" in str(exc.value)
-
-    def test_save_load_round_trip(self, tmp_path):
-        (tmp_path / "en.txt").write_text("a b\n\nc\n", encoding="utf-8")
-        (tmp_path / "de.txt").write_text("x\ny\nz w\n", encoding="utf-8")
-        doc = load_parallel({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
-        out = {"en": tmp_path / "en2.txt", "de": tmp_path / "de2.txt"}
-        save_parallel(doc, out)
-        again = load_parallel(out)
-        assert again == doc
 
     def test_load_transcript_pairs_lowercases(self, tmp_path):
         (tmp_path / "gold.txt").write_text("Hello There\n", encoding="utf-8")
@@ -199,10 +189,3 @@ class TestWordAlignment:
             load_word_alignment(tmp_path / "al.txt")
         assert "line 2" in str(exc.value) and "column 5" in str(exc.value)
         assert "a-b" in str(exc.value)
-
-
-class TestParallelDocument:
-    def test_tuple_arity_enforced(self):
-        one = TokenSequence.from_raw("a")
-        with pytest.raises(ContractError):
-            ParallelDocument(("en", "de"), ((one,),))

@@ -1,7 +1,7 @@
 import pytest
 
 from multisimul.corpus import TokenSequence, TranscriptPair, WordAlignment
-from multisimul.errors import ContractError, DegenerateTableError
+from multisimul.errors import AlignmentMismatchError, ContractError, DegenerateTableError
 from multisimul.independence import analyze_independence, build_contingency
 from multisimul.metrics import chi_square_2x2
 
@@ -61,7 +61,7 @@ class TestBuildContingency:
         src = [_pair("a", "a"), _pair("b", "b")]
         tgt = [_pair("x", "x"), _pair("y", "y")]
         alignments = [_align((0, 0)), _align((5, 0))]
-        with pytest.raises(ContractError) as exc:
+        with pytest.raises(AlignmentMismatchError) as exc:
             build_contingency(src, tgt, alignments)
         assert "sentence 1" in str(exc.value)
         assert "(5,0)" in str(exc.value).replace(" ", "")
