@@ -115,6 +115,8 @@ def cmd_noise_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_independence(args: argparse.Namespace) -> int:
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha needs a value in (0, 1), got {args.alpha}")
     src_pairs = load_transcript_pairs(
         args.src_gold, args.src_asr,
         lowercase=not args.keep_case, strip_punct=args.strip_punct,
@@ -375,14 +377,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     systems = {lang: [lang] for lang in config.languages}
     systems[MULTI] = config.languages
 
-    rows: list[SweepRow] = []
-    for cell in config.wer_grid:
-        # the rescaled model depends on the cell's target only, not on the seed
-        models = {
+    # a rescaled model depends on the cell's target only, not on the seed; all
+    # are built first, so that an unattainable target stops the sweep before any run
+    cell_models = [
+        {
             lang: noise.rescale_to_wer(base_models[lang], target)
             for lang, target in zip(config.languages, cell)
             if target > 0
         }
+        for cell in config.wer_grid
+    ]
+    rows: list[SweepRow] = []
+    for cell, models in zip(config.wer_grid, cell_models):
         for seed in config.seeds:
             noised = dict(clean)
             for li, lang in enumerate(config.languages):

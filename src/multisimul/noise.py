@@ -151,12 +151,14 @@ def rescale_to_wer(model: LexicalNoiseModel, target: float) -> LexicalNoiseModel
     if desired < 0:
         raise ContractError("desired WER must be non-negative")
     p_sum = model.p_insert + model.p_delete + model.p_substitute
-    if p_sum <= 0:
-        raise ContractError("model has no error mass to rescale")
+    if p_sum <= 0 < desired:
+        raise UnattainableWerError(
+            f"target WER {desired} is unattainable: the model has no error mass to rescale"
+        )
 
     quad = model.p_delete * model.p_substitute
     if quad == 0.0:
-        c = desired / p_sum
+        c = desired / p_sum if desired else 0.0
     else:
         discriminant = p_sum * p_sum - 4.0 * quad * desired
         if discriminant < 0:

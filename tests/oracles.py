@@ -12,6 +12,7 @@ import math
 import re
 import sys
 import unicodedata
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -181,6 +182,125 @@ def reference_chrf2(hyps: Sequence[str], refs: Sequence[Sequence[str]]) -> float
             (a + x, b + y, c + z) for (a, b, c), (x, y, z) in zip(totals, best)
         ]
     return f_score(totals)
+
+
+# --- per-segment sufficient statistics --------------------------------------
+# The package's earlier per-segment Counter path, kept as the oracle for its
+# chunked counting kernel: the int64 matrices must agree value for value. Rows:
+#   BLEU  (2 * BLEU_ORDER + 2): correct[4], total[4], sys_len, closest_ref_len
+#   chrF2 (3 * CHRF_ORDER): (hyp, ref, match) n-gram counts for each order
+
+BLEU_ORDER = 4
+CHRF_ORDER = 6
+CHRF_BETA = 2
+
+
+def _ngram_counts(seq: Sequence, order: int) -> list[Counter]:
+    """One Counter per n = 1..order of the n-grams of ``seq``, keyed by item tuples."""
+    return [Counter(zip(*[seq[k:] for k in range(n)])) for n in range(1, order + 1)]
+
+
+def _matches(hyp: Counter, ref: Counter) -> int:
+    """Clipped matches: the smaller count of every n-gram the two share."""
+    if len(hyp) > len(ref):
+        hyp, ref = ref, hyp
+    get = ref.get
+    total = 0
+    for gram, count in hyp.items():
+        other = get(gram, 0)
+        total += count if count < other else other
+    return total
+
+
+def _bleu_ref_side(refs: Sequence[str]) -> tuple[list[int], list[Counter]]:
+    """13a token counts of a segment's references and their max-clipped n-grams."""
+    lengths: list[int] = []
+    clip: list[Counter] = []
+    for ref in refs:
+        tokens = reference_tokenize_13a(ref)
+        lengths.append(len(tokens))
+        counts = _ngram_counts(tokens, BLEU_ORDER)
+        if not clip:
+            clip = counts
+        else:
+            for kept, new in zip(clip, counts):
+                kept |= new
+    return lengths, clip
+
+
+def _bleu_row(hyp: str, ref_side: tuple[list[int], list[Counter]]) -> list[int]:
+    ref_lengths, clip = ref_side
+    tokens = reference_tokenize_13a(hyp)
+    sys_len = len(tokens)
+    # closest reference length; the shorter one wins a tie
+    closest = min(ref_lengths, key=lambda r: (abs(sys_len - r), r))
+    correct = [_matches(h, r) for h, r in zip(_ngram_counts(tokens, BLEU_ORDER), clip)]
+    total = [max(sys_len - k, 0) for k in range(BLEU_ORDER)]
+    return [*correct, *total, sys_len, closest]
+
+
+def _chrf_ref_side(refs: Sequence[str]) -> list[tuple[int, list[Counter]]]:
+    """Whitespace-free length and character n-grams of each reference."""
+    side = []
+    for ref in refs:
+        chars = "".join(ref.split())
+        side.append((len(chars), _ngram_counts(chars, CHRF_ORDER)))
+    return side
+
+
+def _chrf_row(hyp: str, ref_side: list[tuple[int, list[Counter]]]) -> list[int]:
+    """chrF2 row against the best reference; the first wins an exact tie."""
+    chars = "".join(hyp.split())
+    counts = _ngram_counts(chars, CHRF_ORDER)
+    best: list[int] = []
+    best_score = Fraction(-1)
+    for ref_len, ref_counts in ref_side:
+        stats: list[int] = []
+        for k, (h, r) in enumerate(zip(counts, ref_counts)):
+            stats += (max(len(chars) - k, 0), max(ref_len - k, 0), _matches(h, r))
+        if len(ref_side) == 1:
+            return stats
+        score = _chrf_exact(stats)
+        if score > best_score:
+            best, best_score = stats, score
+    return best
+
+
+def _chrf_exact(stats: Sequence[int]) -> Fraction:
+    """Sentence chrF as an exact fraction of 1, so that equal candidates tie."""
+    score = Fraction(0)
+    effective_order = 0
+    for i in range(CHRF_ORDER):
+        n_hyp, n_ref, n_match = stats[3 * i : 3 * i + 3]
+        if n_hyp == 0 and n_ref == 0:
+            continue
+        # (1 + b^2) P R / (b^2 P + R) with P = m / hyp and R = m / ref
+        if n_match > 0:
+            score += Fraction((1 + CHRF_BETA**2) * n_match, CHRF_BETA**2 * n_ref + n_hyp)
+        effective_order += 1
+    return score / effective_order if effective_order else score
+
+
+_STATS_CORES = {
+    "bleu": (_bleu_ref_side, _bleu_row, 2 * BLEU_ORDER + 2),
+    "chrf2": (_chrf_ref_side, _chrf_row, 3 * CHRF_ORDER),
+}
+
+
+def reference_stats_matrices(
+    systems: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], metric: str
+) -> list[np.ndarray]:
+    """One (segments x stats) int64 matrix per system, one segment at a time.
+
+    A segment's reference side is built once and shared by all systems.
+    """
+    ref_side, row, width = _STATS_CORES[metric]
+    rows: list[list[int]] = [[] for _ in systems]
+    for i in range(len(systems[0])):
+        side = ref_side([ref_set[i] for ref_set in refs])
+        for out, hyps in zip(rows, systems):
+            out.extend(row(hyps[i], side))
+    return [np.array(out, dtype=np.int64).reshape(-1, width) for out in rows]
 
 
 def chi_square_statistic_exact(cells: tuple[tuple[int, int], tuple[int, int]]) -> Fraction:

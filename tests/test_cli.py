@@ -596,9 +596,53 @@ def _noise_train(path, gold):
     ]
 
 
+def _error_free_model(path):
+    """Train a model on transcripts without errors: it has no error mass."""
+    _write(path / "gold.txt", ["a b c", "d e"])
+    assert main(
+        ["noise-train", "--gold", str(path / "gold.txt"), "--asr", str(path / "gold.txt"),
+         "--out", str(path / "clean_model.tsv")]
+    ) == 0
+    return path / "clean_model.tsv"
+
+
+def _noise_apply_error_free(path):
+    return [
+        "noise-apply", "--model", str(_error_free_model(path)), "--target-wer", "0.2",
+        "--seed", "1", "--in", str(path / "gold.txt"), "--out", str(path / "noisy.txt"),
+    ]
+
+
+def _sweep_error_free(path):
+    model = _error_free_model(path).read_bytes()
+    (path / "noise_en.tsv").write_bytes(model)
+    return [
+        "sweep", "--config", str(_sweep_config(path, wer_grid="0.1:0", la_grid="2", seeds="1")),
+        "--out-dir", str(path / "out"),
+    ]
+
+
+def _independence_alpha(alpha):
+    # the files do not exist: the value is rejected before any is read
+    def build(path):
+        argv = ["independence", "--alpha", alpha]
+        for name in INDEPENDENCE_FILES:
+            argv += [f"--{name.replace('_', '-')}", str(path / "nope.txt")]
+        return argv
+
+    return build
+
+
 # (case, function that writes the inputs and returns argv, exit code, text that
 # stderr must name)
 BAD_INPUTS = [
+    *(
+        (f"independence-alpha-{alpha}", _independence_alpha(alpha), 3,
+         f"--alpha needs a value in (0, 1), got {float(alpha)}")
+        for alpha in ("0", "2", "nan")
+    ),
+    ("noise-apply-error-free-model", _noise_apply_error_free, 3, "target WER 0.2 is unattainable"),
+    ("sweep-error-free-model", _sweep_error_free, 3, "target WER 0.1 is unattainable"),
     ("simulate-refs-short", _simulate_short_refs, 2, "ref.txt has 3"),
     (
         "independence-target-short",

@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisimul import metrics
+from multisimul.corpus import tokenize_13a
 from multisimul.errors import ContractError, DegenerateTableError
 from multisimul.metrics import (
     COPY,
@@ -42,6 +45,7 @@ from oracles import (
     reference_align_edit,
     reference_bleu,
     reference_chrf2,
+    reference_stats_matrices,
 )
 
 # values frozen from the independent reference scorers on the shared fixture
@@ -337,6 +341,94 @@ class TestSufficientStatisticsOracle:
         refs = [["b b ab", "x y ab"], ["b a ", "x y ab"]]
         assert chrf2(hyps, refs) == pytest.approx(60.416666666666664, abs=1e-9)
         assert chrf2(hyps, refs) == pytest.approx(reference_chrf2(hyps, refs), abs=1e-9)
+
+
+# lines for the counting kernel: empty and whitespace-only lines, NUL (which
+# must not collide with the kernel's zero padding), non-ASCII, a non-BMP
+# character and a lone surrogate, mixed with 13a punctuation
+_KERNEL_LINE = st.lists(
+    st.sampled_from(
+        ["", " ", "\t", "a", "b", "ab", "\x00", "é", "漢", "\U0001F600", "\ud800",
+         ".", ",", "1", "-", "&amp;"]
+    ),
+    max_size=10,
+).flatmap(lambda pieces: st.sampled_from(["", " "]).map(lambda sep: sep.join(pieces)))
+
+
+@st.composite
+def _kernel_corpora(draw):
+    n = draw(st.integers(1, 5))
+    lines = st.lists(_KERNEL_LINE, min_size=n, max_size=n)
+    systems = [draw(lines) for _ in range(draw(st.integers(1, 3)))]
+    refs = [draw(lines) for _ in range(draw(st.integers(1, 3)))]
+    return systems, refs
+
+
+def _assert_stats_match_oracle(systems, refs):
+    for metric in ("bleu", "chrf2"):
+        got = metrics._stats_matrices(systems, refs, metric)
+        want = reference_stats_matrices(systems, refs, metric)
+        assert len(got) == len(want) == len(systems)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w), metric
+
+
+class TestCountingKernel:
+    @given(_kernel_corpora())
+    @example(([["a\x00b"]], [["a b"]]))
+    @example(([["", "\t "]], [[" ", ""], ["ab", ""]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matrices_equal_per_segment_counters(self, corpus):
+        _assert_stats_match_oracle(*corpus)
+
+    def test_matrices_equal_across_chunks(self):
+        # a corpus of several chunk budgets, with one segment longer than the budget
+        rng = random.Random(20)
+        words = ["a", "ab", "b.", "漢字", "é", "\U0001F600", "1,5", "x-y", "\x00"]
+
+        def line(n_words):
+            return " ".join(rng.choice(words) for _ in range(n_words))
+
+        n = 300
+        systems = [[line(rng.randint(0, 12)) for _ in range(n)] for _ in range(2)]
+        refs = [[line(rng.randint(0, 12)) for _ in range(n)] for _ in range(2)]
+        long = n // 2
+        systems[0][long] = line(metrics._STATS_CHUNK_UNITS + 100)
+        refs[1][long] = line(metrics._STATS_CHUNK_UNITS + 100)
+        tokens = sum(len(tokenize_13a(text)) for side in systems + refs for text in side)
+        assert tokens > 3 * metrics._STATS_CHUNK_UNITS
+        _assert_stats_match_oracle(systems, refs)
+
+    def test_tokenizer_called_once_per_text(self, monkeypatch):
+        # looked up at each call, so that a wrapper bound to the module name
+        # (the benchmark's tracer binds one) counts every text exactly once
+        calls = []
+        tokenize = metrics.tokenize_13a
+        monkeypatch.setattr(
+            metrics, "tokenize_13a", lambda text: calls.append(text) or tokenize(text)
+        )
+        metrics._stats_matrices([["a b", "c"], ["d", "e"]], [["a", "b"]], "bleu")
+        assert sorted(calls) == ["a", "a b", "b", "c", "d", "e"]
+
+    @pytest.mark.parametrize("metric", ["bleu", "chrf2"])
+    def test_working_set_does_not_grow_with_corpus(self, fixture_corpus, metric):
+        hyps, refs, refs_b = fixture_corpus
+
+        def extra_peak(copies):
+            systems = [hyps * copies, refs_b * copies]
+            ref_sets = [refs * copies]
+            tracemalloc.start()
+            try:
+                matrices = metrics._stats_matrices(systems, ref_sets, metric)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - sum(m.nbytes for m in matrices)
+
+        # 400 segments already span several chunks for both metrics
+        small, large = extra_peak(20), extra_peak(80)
+        assert large <= 1.5 * small, (small, large)
 
 
 def _log(events):

@@ -120,8 +120,9 @@ class TestRescale:
         assert "maximum attainable" in str(exc.value) or "maximum" in str(exc.value)
 
     def test_no_error_mass(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UnattainableWerError, match="target WER 0.1"):
             rescale_to_wer(_model(), 0.1)
+        assert rescale_to_wer(_model(), 0.0).scale_c == 0.0
 
     def test_scale_accumulates(self):
         model = _model(p_d=0.1)
