@@ -55,6 +55,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     compare = [] if args.compare is None else [args.compare]
     if compare and args.resamples < 100:
         raise ConfigError(f"--resamples needs at least 100, got {args.resamples}")
+    if compare and args.seed < 0:
+        raise ConfigError(f"--seed needs a value >= 0, got {args.seed}")
     hyps, *refs = read_aligned([args.hyps, *args.refs, *compare])
     sys_b = refs.pop() if compare else None
     if not hyps:
@@ -99,6 +101,8 @@ def cmd_noise_train(args: argparse.Namespace) -> int:
 
 
 def cmd_noise_apply(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed needs a value >= 0, got {args.seed}")
     model = noise.load_model(args.model)
     if args.target_wer is not None:
         if not 0 <= args.target_wer < math.inf:
@@ -259,14 +263,17 @@ def _tradeoff_name(languages: Sequence[str], cell: tuple[float, ...]) -> str:
 
 def _load_sweep_config(path: Path) -> SweepConfig:
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}: line {lineno} is not key=value: {line!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in key_lines:
+            raise ConfigError(f"{path}: line {lineno} repeats key {key!r}")
+        values[key], key_lines[key] = value, lineno
     if values.get("version") != "1":
         raise ConfigError(f"{path}: missing or unsupported config version")
 
@@ -283,6 +290,11 @@ def _load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"{path}: languages must be distinct: {','.join(languages)}")
     if MULTI in languages:
         raise ConfigError(f"{path}: {MULTI!r} names the multi-source system, not a language")
+    known = {"version", "languages", "primary", "reference", "wer_grid", "la_grid", "seeds"}
+    known |= {f"{p}.{lang}" for p in ("source", "lexicon", "noise_model") for lang in languages}
+    for key, lineno in key_lines.items():
+        if key not in known:
+            raise ConfigError(f"{path}: line {lineno} has unknown key {key!r}")
     primary = values.get("primary", languages[0])
     if primary not in languages:
         raise ConfigError(f"{path}: primary {primary!r} not among languages")
@@ -313,6 +325,8 @@ def _load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"{path}: grids and seeds must be non-empty")
     if min(la_grid) < 1:
         raise ConfigError(f"{path}: la_grid sizes must be at least 1")
+    if min(seeds) < 0:
+        raise ConfigError(f"{path}: seeds must be at least 0")
     # wer cells are told apart by their trade-off file, which would otherwise
     # be overwritten; any repeat would also duplicate rows and skew the stddev
     tradeoff_names = [_tradeoff_name(languages, cell) for cell in wer_grid]
@@ -363,9 +377,6 @@ class SweepRow:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_sweep_config(Path(args.config))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     clean, refs = _load_sources(config.sources, [config.reference])
     translators = {
         lang: LexiconTranslator(load_lexicon(path))
@@ -387,6 +398,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         for cell in config.wer_grid
     ]
+    # made only now, so that a sweep rejected for its inputs leaves no directory
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[SweepRow] = []
     for cell, models in zip(config.wer_grid, cell_models):
         for seed in config.seeds:

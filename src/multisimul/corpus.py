@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -29,51 +30,37 @@ __all__ = [
 class TokenSequence:
     """A tokenized sentence together with its raw character form.
 
-    ``char_offsets[i]`` is the start of ``tokens[i]`` inside ``raw``. The raw
-    string is stripped of leading/trailing whitespace so that the last token
-    ends exactly at ``len(raw)``.
+    ``raw`` is stripped of leading/trailing whitespace and ``tokens`` is its
+    whitespace split, so the last token ends exactly at ``len(raw)``.
     """
 
     tokens: tuple[str, ...]
     raw: str
-    char_offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.char_offsets):
-            raise ContractError("tokens and char_offsets must have equal length")
-        prev_end = -1
-        for tok, off in zip(self.tokens, self.char_offsets):
-            if not tok:
-                raise ContractError("tokens must be non-empty strings")
-            if off <= prev_end:
-                raise ContractError("char_offsets must be strictly increasing")
-            if self.raw[off : off + len(tok)] != tok:
-                raise ContractError(
-                    f"token {tok!r} does not occur in raw text at offset {off}"
-                )
-            prev_end = off
+        if self.tokens != tuple(self.raw.split()) or self.raw != self.raw.strip():
+            raise ContractError(f"{self.tokens!r} is not the split of stripped text {self.raw!r}")
 
     @classmethod
     def from_raw(cls, raw: str) -> "TokenSequence":
-        """Whitespace-split ``raw`` keeping per-token character offsets."""
+        """Whitespace-split the stripped ``raw``."""
         raw = raw.strip()
-        tokens: list[str] = []
-        offsets: list[int] = []
-        for match in re.finditer(r"\S+", raw):
-            tokens.append(match.group())
-            offsets.append(match.start())
-        return cls(tuple(tokens), raw, tuple(offsets))
+        return cls(tuple(raw.split()), raw)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenSequence":
         """Build a sequence whose raw form is the single-space join of tokens."""
-        raw = " ".join(tokens)
-        offsets = []
-        pos = 0
-        for tok in tokens:
-            offsets.append(pos)
-            pos += len(tok) + 1
-        return cls(tuple(tokens), raw, tuple(offsets))
+        return cls(tuple(tokens), " ".join(tokens))
+
+    @cached_property
+    def char_offsets(self) -> tuple[int, ...]:
+        """Start of each token inside ``raw``: only whitespace lies between two
+        tokens, so a token starts where its text next occurs after the last."""
+        offsets, end = [], 0
+        for tok in self.tokens:
+            end = self.raw.index(tok, end) + len(tok)
+            offsets.append(end - len(tok))
+        return tuple(offsets)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -81,16 +68,14 @@ class TokenSequence:
     def prefix(self, k: int) -> "TokenSequence":
         """First ``k`` tokens with the raw text cut at the end of token ``k``.
 
-        A prefix of a valid sequence is valid, so it skips the checks of
+        A prefix of a valid sequence is valid, so it skips the check of
         ``__post_init__``.
         """
         if not 0 <= k <= len(self.tokens):
             raise ContractError(f"prefix length {k} out of range 0..{len(self.tokens)}")
         end = self.char_offsets[k - 1] + len(self.tokens[k - 1]) if k else 0
         seq = object.__new__(TokenSequence)
-        seq.__dict__.update(
-            tokens=self.tokens[:k], raw=self.raw[:end], char_offsets=self.char_offsets[:k]
-        )
+        seq.__dict__.update(tokens=self.tokens[:k], raw=self.raw[:end])
         return seq
 
 

@@ -97,6 +97,21 @@ def reference_tokenize_13a(line: str) -> list[str]:
     return text.split()
 
 
+def reference_token_offsets(raw: str) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+    """The stripped ``raw``, its tokens and each token's start in it, by regex.
+
+    The package's earlier ``TokenSequence.from_raw``, kept as the oracle for
+    the offsets the package derives from the whitespace split.
+    """
+    raw = raw.strip()
+    tokens: list[str] = []
+    offsets: list[int] = []
+    for match in re.finditer(r"\S+", raw):
+        tokens.append(match.group())
+        offsets.append(match.start())
+    return raw, tuple(tokens), tuple(offsets)
+
+
 def _ngrams(tokens: Sequence[str], n: int) -> dict[tuple, int]:
     counts: dict[tuple, int] = {}
     for i in range(len(tokens) - n + 1):
@@ -404,8 +419,9 @@ def reference_run_simul(translators, sources, n):
     vocab = ReferenceVocabulary(tokens)
     slots = []
     for lang, sent in sources.items():
-        for i, (tok, offset) in enumerate(zip(sent.tokens, sent.char_offsets)):
-            fraction = Fraction(offset + len(tok), len(sent.raw))
+        raw, words, offsets = reference_token_offsets(sent.raw)
+        for i, (tok, offset) in enumerate(zip(words, offsets)):
+            fraction = Fraction(offset + len(tok), len(raw))
             slots.append((fraction, order.index(lang), i, lang))
     slots.sort()
     max_new = 2 * sum(len(s.tokens) for s in sources.values()) + 8

@@ -544,6 +544,26 @@ class TestSweep:
             assert "config error" in capsys.readouterr().err, value
             assert not out_dir.exists(), value
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (
+                lambda text: text.replace("primary=en", "primray=de"),
+                "line 3 has unknown key 'primray'",
+            ),
+            (lambda text: text + "seeds=2\n", "line 14 repeats key 'seeds'"),
+            (lambda text: text + "source.fr=en.txt\n", "line 14 has unknown key 'source.fr'"),
+        ],
+        ids=["misspelt", "repeated", "unconfigured-language"],
+    )
+    def test_unknown_or_repeated_key(self, workspace, capsys, edit, named):
+        config = _sweep_config(workspace, wer_grid="0.1:0.1", la_grid="2", seeds="1")
+        config.write_text(edit(config.read_text(encoding="utf-8")), encoding="utf-8")
+        out_dir = workspace / "out"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("short", ["de.txt", "cs.txt"])
     def test_line_count_mismatch_exit_code(self, workspace, capsys, short):
         _write(workspace / short, (CS_LINES if short == "cs.txt" else EN_LINES)[:-1])
@@ -643,6 +663,25 @@ BAD_INPUTS = [
     ),
     ("noise-apply-error-free-model", _noise_apply_error_free, 3, "target WER 0.2 is unattainable"),
     ("sweep-error-free-model", _sweep_error_free, 3, "target WER 0.1 is unattainable"),
+    (
+        "sweep-negative-seed",
+        lambda p: [
+            "sweep", "--config", str(_sweep_config(p, "0.1:0.1", la_grid="2", seeds="-1")),
+            "--out-dir", str(p / "out"),
+        ],
+        3,
+        "seeds must be at least 0",
+    ),
+    (
+        "noise-apply-negative-seed",
+        # the files do not exist: the value is rejected before any is read
+        lambda p: [
+            "noise-apply", "--model", str(p / "nope.tsv"), "--seed", "-1",
+            "--in", str(p / "nope.txt"), "--out", str(p / "noisy.txt"),
+        ],
+        3,
+        "--seed needs a value >= 0, got -1",
+    ),
     ("simulate-refs-short", _simulate_short_refs, 2, "ref.txt has 3"),
     (
         "independence-target-short",
@@ -687,6 +726,15 @@ BAD_INPUTS = [
         3,
         "--resamples needs at least 100, got 50",
     ),
+    (
+        "score-negative-seed",
+        lambda p: [
+            "score", "--hyps", str(p / "nope.txt"), "--refs", str(p / "nope.txt"),
+            "--compare", str(p / "nope.txt"), "--seed", "-1",
+        ],
+        3,
+        "--seed needs a value >= 0, got -1",
+    ),
     ("noise-train-empty-gold", lambda p: _noise_train(p, []), 2, "gold.txt has no gold tokens"),
     (
         "noise-train-blank-gold",
@@ -707,3 +755,4 @@ def test_bad_input_exit_code(workspace, capsys, build, code, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+    assert not (workspace / "out").exists()  # a rejected sweep leaves no output directory

@@ -18,7 +18,7 @@ from multisimul.errors import (
     ParseError,
 )
 
-from oracles import reference_tokenize_13a
+from oracles import reference_token_offsets, reference_tokenize_13a
 
 
 class TestTokenize13a:
@@ -60,6 +60,16 @@ class TestTokenize13a:
         assert list(tokenize_13a(rejoined)) == reference_tokenize_13a(rejoined)
 
 
+# every whitespace character of str.isspace (the set re's \s matches), and
+# two format characters that look like spaces but are not whitespace
+SPLIT_ALPHABET = (
+    "ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+    + "\u200b\ufeff"
+)
+
+
 class TestTokenSequence:
     def test_from_raw_offsets(self):
         seq = TokenSequence.from_raw("  ab  cd ")
@@ -81,7 +91,7 @@ class TestTokenSequence:
         for k in range(4):
             # the unchecked prefix is what the validating constructor accepts
             prefix = seq.prefix(k)
-            assert prefix == TokenSequence(prefix.tokens, prefix.raw, prefix.char_offsets)
+            assert prefix == TokenSequence(prefix.tokens, prefix.raw)
 
     def test_prefix_out_of_range(self):
         with pytest.raises(ContractError):
@@ -89,11 +99,29 @@ class TestTokenSequence:
 
     def test_invariant_violations(self):
         with pytest.raises(ContractError):
-            TokenSequence(("a", ""), "a ", (0, 2))
+            TokenSequence(("a", ""), "a")  # an empty token
         with pytest.raises(ContractError):
-            TokenSequence(("a", "b"), "a b", (2, 0))
+            TokenSequence(("a",), " a")  # raw text not stripped
         with pytest.raises(ContractError):
-            TokenSequence(("a",), "b", (0,))
+            TokenSequence(("a",), "b")  # tokens not the split of raw
+        # tokens that hold whitespace or are empty are not the split of their join
+        for tokens in (["a b"], ["a\xa0b"], [""]):
+            with pytest.raises(ContractError):
+                TokenSequence.from_tokens(tokens)
+
+    @given(st.text(alphabet=SPLIT_ALPHABET, max_size=40))
+    @example(" \ufeffa\x1cb\u200b\u3000c\x85")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_regex_oracle(self, text):
+        raw, tokens, offsets = reference_token_offsets(text)
+        seq = TokenSequence.from_raw(text)
+        assert (seq.raw, seq.tokens, seq.char_offsets) == (raw, tokens, offsets)
+        for k in range(len(tokens) + 1):
+            prefix = seq.prefix(k)
+            end = offsets[k - 1] + len(tokens[k - 1]) if k else 0
+            assert (prefix.raw, prefix.tokens, prefix.char_offsets) == (
+                raw[:end], tokens[:k], offsets[:k]
+            )
 
 
 class TestCharFraction:
