@@ -36,6 +36,7 @@ __all__ = ["main"]
 
 MULTI = "multi"  # the sweep's multi-source system
 SCORE_NAMES = ("bleu", "chrf2", "al", "ne")
+NE = 0.0  # LA-n output is append-only, so normalized erasure is 0 by construction
 
 
 def _progress(message: str) -> None:
@@ -43,7 +44,7 @@ def _progress(message: str) -> None:
 
 
 def _mean_or_zero(values: Sequence[float]) -> float:
-    """Mean of per-sentence AL or NE values; 0 when every sentence was left out."""
+    """Mean of per-sentence AL values; 0 when every sentence was left out."""
     return sum(values) / len(values) if values else 0.0
 
 
@@ -160,6 +161,8 @@ def _parse_lang_file(values: Sequence[str], flag: str) -> dict[str, Path]:
         if "=" not in value:
             raise ConfigError(f"{flag} expects LANG=FILE, got {value!r}")
         lang, _, path = value.partition("=")
+        if lang in out:
+            raise ConfigError(f"{flag} repeats language {lang!r}")
         out[lang] = Path(path)
     return out
 
@@ -181,16 +184,15 @@ def _run_system(
     source_columns: dict[str, list[TokenSequence]],
     la_n: int,
     primary: str,
-) -> tuple[list[str], list[float], list[float]]:
-    """Per-sentence streaming runs; returns (outputs, AL values, NE values).
+) -> tuple[list[str], list[float]]:
+    """Per-sentence streaming runs; returns (outputs, AL values).
 
-    AL and NE are undefined for a sentence whose primary source or output is
-    empty: its output still counts for BLEU/chrF2, but it has no AL/NE value,
-    and the number of such sentences goes to stderr.
+    AL is undefined for a sentence whose primary source or output is empty:
+    its output still counts for BLEU/chrF2, but it has no AL value, and the
+    number of such sentences goes to stderr.
     """
     outputs: list[str] = []
     als: list[float] = []
-    nes: list[float] = []
     n_sentences = len(next(iter(source_columns.values())))
     for i in range(n_sentences):
         sources = {lang: col[i] for lang, col in source_columns.items()}
@@ -201,14 +203,13 @@ def _run_system(
         outputs.append(" ".join(final))
         if final and sources[primary].tokens:
             als.append(metrics.average_lagging(log, primary).al)
-            nes.append(metrics.normalized_erasure(log).ne)
     skipped = n_sentences - len(als)
     if skipped:
         _progress(
-            f"{skipped} of {n_sentences} sentences left out of AL/NE "
+            f"{skipped} of {n_sentences} sentences left out of AL "
             "(empty primary source or empty output)"
         )
-    return outputs, als, nes
+    return outputs, als
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -227,12 +228,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in lexicon_paths.items()
     }
-    outputs, als, nes = _run_system(translators, columns, args.la_n, primary)
+    outputs, als = _run_system(translators, columns, args.la_n, primary)
     if args.out is not None:
         Path(args.out).write_text(
             "".join(line + "\n" for line in outputs), encoding="utf-8"
         )
-    rows = [("al", f"{_mean_or_zero(als):.4f}"), ("ne", f"{_mean_or_zero(nes):.4f}")]
+    rows = [("al", f"{_mean_or_zero(als):.4f}"), ("ne", f"{NE:.4f}")]
     if refs:
         rows.insert(0, ("chrf2", f"{metrics.chrf2(outputs, refs):.4f}"))
         rows.insert(0, ("bleu", f"{metrics.bleu(outputs, refs):.4f}"))
@@ -368,14 +369,18 @@ class SweepRow:
     bleu: float
     chrf2: float
     al: float
-    ne: float
 
     @property
     def scores(self) -> tuple[float, float, float, float]:
-        return (self.bleu, self.chrf2, self.al, self.ne)
+        return (self.bleu, self.chrf2, self.al, NE)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
+    # checked first: mkdir would fail only after every input has loaded
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out-dir {out_dir}: {existing} is not a directory")
     config = _load_sweep_config(Path(args.config))
     clean, refs = _load_sources(config.sources, [config.reference])
     translators = {
@@ -399,7 +404,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for cell in config.wer_grid
     ]
     # made only now, so that a sweep rejected for its inputs leaves no directory
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[SweepRow] = []
     for cell, models in zip(config.wer_grid, cell_models):
@@ -413,7 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for la_n in config.la_grid:
                 for system, langs in systems.items():
                     _progress(f"cell={cell} seed={seed} la_n={la_n} system={system}")
-                    outputs, als, nes = _run_system(
+                    outputs, als = _run_system(
                         {lang: translators[lang] for lang in langs},
                         {lang: noised[lang] for lang in langs},
                         la_n,
@@ -423,7 +427,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         metrics.bleu(outputs, refs),
                         metrics.chrf2(outputs, refs),
                         _mean_or_zero(als),
-                        _mean_or_zero(nes),
                     )
                     rows.append(
                         SweepRow(cell, system, la_n, seed, *(round(v, 4) for v in scores))
@@ -538,7 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:  # an OSError names the path it failed on
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, UnattainableWerError) as exc:

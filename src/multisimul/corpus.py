@@ -65,19 +65,6 @@ class TokenSequence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def prefix(self, k: int) -> "TokenSequence":
-        """First ``k`` tokens with the raw text cut at the end of token ``k``.
-
-        A prefix of a valid sequence is valid, so it skips the check of
-        ``__post_init__``.
-        """
-        if not 0 <= k <= len(self.tokens):
-            raise ContractError(f"prefix length {k} out of range 0..{len(self.tokens)}")
-        end = self.char_offsets[k - 1] + len(self.tokens[k - 1]) if k else 0
-        seq = object.__new__(TokenSequence)
-        seq.__dict__.update(tokens=self.tokens[:k], raw=self.raw[:end])
-        return seq
-
 
 @dataclass(frozen=True)
 class TranscriptPair:

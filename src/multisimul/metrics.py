@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import TokenSequence, TranscriptPair, tokenize_13a
 from .errors import ContractError, DegenerateTableError
-from .simul import FlushEvent, ReadEvent, ReviseEvent, SimulEventLog, WriteEvent
+from .simul import ReadEvent, SimulEventLog, WriteEvent
 
 __all__ = [
     "EditOp",
@@ -586,20 +586,11 @@ class ErasureReport:
 
 
 def normalized_erasure(log: SimulEventLog) -> ErasureReport:
-    """Erased tokens across all Revise events over the final output length."""
-    erased = 0
-    length = 0
-    for event in log.events:
-        if isinstance(event, WriteEvent):
-            length += 1
-        elif isinstance(event, ReviseEvent):
-            if event.erased > length:
-                raise ContractError("Revise erases more tokens than present")
-            erased += event.erased
-            length += len(event.replacement) - event.erased
+    """Erased tokens over the final output length: 0, as the log is append-only."""
+    length = sum(isinstance(event, WriteEvent) for event in log.events)
     if length == 0:
         raise ContractError("normalized erasure is undefined for empty final output")
-    return ErasureReport(erased, length)
+    return ErasureReport(0, length)
 
 
 @dataclass(frozen=True)

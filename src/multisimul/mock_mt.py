@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TokenSequence, _read_lines
+from .corpus import _read_lines
 from .errors import InputError
 from .simul import EOS, DecodeResult, Vocabulary
 
@@ -69,8 +69,8 @@ class LexiconTranslator:
         """Hypothesis token and margin for one source token."""
         return self._translate(token)
 
-    def output_tokens(self, source: TokenSequence) -> set[str]:
-        tokens = {self._translate(tok)[0] for tok in source.tokens}
+    def output_tokens(self, source: tuple[str, ...]) -> set[str]:
+        tokens = {self._translate(tok)[0] for tok in source}
         tokens.add(EOS)
         return tokens
 
@@ -114,12 +114,12 @@ class LexiconTranslator:
 
     def decode(
         self,
-        source_prefix: TokenSequence,
+        source_prefix: tuple[str, ...],
         forced_target: Sequence[str],
         vocab: Vocabulary,
         final: bool = False,
     ) -> DecodeResult:
-        self._update_hypothesis(source_prefix.tokens, vocab, final)
+        self._update_hypothesis(source_prefix, vocab, final)
         ptr = self._consume_forced(forced_target)
         return DecodeResult(self._tokens[ptr:], self._scores[ptr:], eos=True)
 
@@ -149,7 +149,7 @@ class ReorderingTranslator(LexiconTranslator):
             return self._guess(token), UNKNOWN_MARGIN
         return self._translate(token)
 
-    def output_tokens(self, source: TokenSequence) -> set[str]:
+    def output_tokens(self, source: tuple[str, ...]) -> set[str]:
         tokens = super().output_tokens(source)
-        tokens |= {self._guess(tok) for tok in source.tokens if tok in self.deferred}
+        tokens |= {self._guess(tok) for tok in source if tok in self.deferred}
         return tokens

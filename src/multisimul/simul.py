@@ -18,7 +18,6 @@ __all__ = [
     "IncrementalTranslator",
     "ReadEvent",
     "WriteEvent",
-    "ReviseEvent",
     "FlushEvent",
     "SimulEventLog",
     "LocalAgreementState",
@@ -87,13 +86,13 @@ class IncrementalTranslator(Protocol):
 
     def decode(
         self,
-        source_prefix: TokenSequence,
+        source_prefix: tuple[str, ...],
         forced_target: Sequence[str],
         vocab: Vocabulary,
         final: bool = False,
     ) -> DecodeResult: ...
 
-    def output_tokens(self, source: TokenSequence) -> set[str]:
+    def output_tokens(self, source: tuple[str, ...]) -> set[str]:
         """Every token the translator could emit for any prefix of ``source``."""
         ...
 
@@ -110,48 +109,22 @@ class WriteEvent:
 
 
 @dataclass(frozen=True)
-class ReviseEvent:
-    erased: int
-    replacement: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class FlushEvent:
     pass
 
 
-Event = ReadEvent | WriteEvent | ReviseEvent | FlushEvent
+Event = ReadEvent | WriteEvent | FlushEvent
 
 
 @dataclass
 class SimulEventLog:
-    """Ordered Read/Write/Revise/Flush events of one streaming run."""
+    """Ordered Read/Write/Flush events of one streaming run; the Write tokens,
+    in order, are the run's output."""
 
     events: list[Event] = field(default_factory=list)
 
     def append(self, event: Event) -> None:
         self.events.append(event)
-
-    def final_output(self) -> list[str]:
-        buffer: list[str] = []
-        for event in self.events:
-            if isinstance(event, WriteEvent):
-                buffer.append(event.token)
-            elif isinstance(event, ReviseEvent):
-                if event.erased > len(buffer):
-                    raise ContractError("Revise erases more tokens than present")
-                del buffer[len(buffer) - event.erased :]
-                buffer.extend(event.replacement)
-        return buffer
-
-    def filtered(self, drop_languages: set[str]) -> "SimulEventLog":
-        """Copy of the log without Read events of the given languages."""
-        kept = [
-            e
-            for e in self.events
-            if not (isinstance(e, ReadEvent) and e.language in drop_languages)
-        ]
-        return SimulEventLog(kept)
 
     def to_tsv(self) -> str:
         rows = []
@@ -160,8 +133,6 @@ class SimulEventLog:
                 rows.append(f"{i}\tread\t{event.language}\t{event.token}")
             elif isinstance(event, WriteEvent):
                 rows.append(f"{i}\twrite\t\t{event.token}")
-            elif isinstance(event, ReviseEvent):
-                rows.append(f"{i}\trevise\t{event.erased}\t{' '.join(event.replacement)}")
             else:
                 rows.append(f"{i}\tflush\t\t")
         return "".join(row + "\n" for row in rows)
@@ -250,7 +221,7 @@ def _build_vocab(
 ) -> Vocabulary:
     tokens: set[str] = set()
     for lang, translator in translators.items():
-        tokens |= translator.output_tokens(sources[lang])
+        tokens |= translator.output_tokens(sources[lang].tokens)
     return Vocabulary(tokens)
 
 
@@ -269,7 +240,7 @@ class _DeterminismGuard:
 
 def _joint_hypothesis(
     translators: Mapping[str, IncrementalTranslator],
-    prefixes: Mapping[str, TokenSequence],
+    prefixes: Mapping[str, tuple[str, ...]],
     committed: Sequence[str],
     vocab: Vocabulary,
     final: bool,
@@ -334,7 +305,8 @@ def run_simul(
     Single-source when one translator is given, multi-source late averaging
     otherwise. Every Read is one LA-n update. At source exhaustion a Flush
     commits the rest of the latest hypothesis. Committed output is
-    append-only, so the log never contains Revise events.
+    append-only: it is the log's Write tokens, in order. Translators are
+    given each source prefix as its token tuple.
     """
     if set(translators) != set(sources):
         raise ContractError("translators and sources must cover the same languages")
@@ -348,13 +320,13 @@ def run_simul(
     state = LocalAgreementState(n)
     log = SimulEventLog()
     guard = _DeterminismGuard()
-    prefixes = {lang: source.prefix(0) for lang, source in sources.items()}
+    prefixes: dict[str, tuple[str, ...]] = {lang: () for lang in sources}
     last_hypothesis: list[str] = []
 
     for k, slot in enumerate(schedule):
-        source = sources[slot.language]
-        prefixes[slot.language] = source.prefix(slot.token_index + 1)
-        log.append(ReadEvent(slot.language, source.tokens[slot.token_index]))
+        tokens = sources[slot.language].tokens
+        prefixes[slot.language] = tokens[: slot.token_index + 1]
+        log.append(ReadEvent(slot.language, tokens[slot.token_index]))
         last_hypothesis = _joint_hypothesis(
             translators, prefixes, state.committed, vocab, k == len(schedule) - 1,
             guard, max_new_tokens,
@@ -379,5 +351,6 @@ def decode_full(
     vocab = _build_vocab(translators, sources)
     max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     return _joint_hypothesis(
-        translators, dict(sources), [], vocab, True, _DeterminismGuard(), max_new_tokens
+        translators, {lang: s.tokens for lang, s in sources.items()}, [], vocab, True,
+        _DeterminismGuard(), max_new_tokens,
     )

@@ -415,7 +415,7 @@ def reference_run_simul(translators, sources, n):
     order = list(sources)
     tokens = set()
     for lang, translator in translators.items():
-        tokens |= translator.output_tokens(sources[lang])
+        tokens |= translator.output_tokens(sources[lang].tokens)
     vocab = ReferenceVocabulary(tokens)
     slots = []
     for lang, sent in sources.items():
@@ -431,7 +431,7 @@ def reference_run_simul(translators, sources, n):
         lengths[lang] += 1
         events.append(("read", lang, sources[lang].tokens[i]))
         final = k == len(slots) - 1
-        prefixes = {name: sources[name].prefix(length) for name, length in lengths.items()}
+        prefixes = {name: sources[name].tokens[:length] for name, length in lengths.items()}
         hypothesis = _reference_joint(translators, prefixes, committed, vocab, final, max_new)
         ring = (ring + [hypothesis])[-n:]
         if len(ring) == n:
@@ -447,8 +447,9 @@ def reference_decode_full(translators, sources):
     """Offline joint greedy decoding of the complete sources."""
     tokens = set()
     for lang, translator in translators.items():
-        tokens |= translator.output_tokens(sources[lang])
+        tokens |= translator.output_tokens(sources[lang].tokens)
     max_new = 2 * sum(len(s.tokens) for s in sources.values()) + 8
+    prefixes = {lang: s.tokens for lang, s in sources.items()}
     return _reference_joint(
-        translators, dict(sources), [], ReferenceVocabulary(tokens), True, max_new
+        translators, prefixes, [], ReferenceVocabulary(tokens), True, max_new
     )

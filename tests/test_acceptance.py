@@ -32,7 +32,7 @@ from multisimul.noise import (
     rescale_to_wer,
     save_model,
 )
-from multisimul.simul import decode_full, run_simul
+from multisimul.simul import FlushEvent, ReadEvent, WriteEvent, decode_full, run_simul
 
 import random
 
@@ -203,6 +203,7 @@ def test_criterion_6_streaming_properties():
     mean_al = []
     offline_matches = True
     ne_zero = True
+    append_only = True
     for n in (2, 5, 10, 15):
         als = []
         for sent in sentences:
@@ -211,6 +212,11 @@ def test_criterion_6_streaming_properties():
                 offline_matches = False
             if normalized_erasure(log).ne != 0.0:
                 ne_zero = False
+            # an append-only log: only Read/Write/Flush, and the Writes are the output
+            if not all(isinstance(e, (ReadEvent, WriteEvent, FlushEvent)) for e in log.events):
+                append_only = False
+            if [e.token for e in log.events if isinstance(e, WriteEvent)] != online:
+                append_only = False
             als.append(average_lagging(log, "en").al)
         mean_al.append(statistics.fmean(als))
     monotone = all(a <= b + 1e-12 for a, b in zip(mean_al, mean_al[1:]))
@@ -225,9 +231,10 @@ def test_criterion_6_streaming_properties():
     _report(
         6,
         "streaming properties",
-        offline_matches and ne_zero and monotone and read_all_ok and interleaved_ok,
+        offline_matches and ne_zero and append_only and monotone and read_all_ok
+        and interleaved_ok,
         f"mean AL over n=(2,5,10,15): {[f'{a:.3f}' for a in mean_al]}, "
-        f"offline match={offline_matches}, NE==0={ne_zero}, "
+        f"offline match={offline_matches}, NE==0={ne_zero}, append-only={append_only}, "
         f"read-all AL=5 ok={read_all_ok}, interleaved AL=1 ok={interleaved_ok}",
     )
 

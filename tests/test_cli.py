@@ -343,10 +343,10 @@ class TestSimulateCommand:
         }
         columns = {"en": [TokenSequence.from_raw("a")], "de": [TokenSequence.from_raw("a")]}
         columns[empty] = [TokenSequence.from_raw("")]
-        outputs, als, nes = _run_system(translators, columns, 2, "en")
+        outputs, als = _run_system(translators, columns, 2, "en")
         assert len(outputs) == 1
-        assert (als, nes) == ([], [])
-        assert "1 of 1 sentences left out of AL/NE" in capsys.readouterr().err
+        assert als == []
+        assert "1 of 1 sentences left out of AL (" in capsys.readouterr().err
 
     @pytest.mark.parametrize("empty", ["en", "de"])
     def test_empty_source_sentence_keeps_the_run(self, workspace, tmp_path, empty, capsys):
@@ -370,7 +370,7 @@ class TestSimulateCommand:
         sources = {"en": list(EN_LINES), "de": list(EN_LINES)}
         sources[empty][1] = ""
         rows, err = simulate(sources["en"], sources["de"])
-        assert "1 of 4 sentences left out of AL/NE" in err
+        assert "1 of 4 sentences left out of AL (" in err
         assert len((tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()) == 4
         kept = [line for i, line in enumerate(EN_LINES) if i != 1]
         expected, _ = simulate(kept, kept)
@@ -595,14 +595,23 @@ class TestSweep:
         assert [row["la_n"] for row in summary[:2]] == ["10", "2"]  # text order
 
 
-def _simulate_short_refs(path):
-    _write(path / "ref.txt", CS_LINES[:-1])
+def _simulate(path, source=("en.txt",), lexicon=("lex_en.tsv",)):
+    """simulate with each file of ``source`` and ``lexicon`` given for en."""
     return [
         "simulate",
-        "--source", f"en={path / 'en.txt'}",
-        "--lexicon", f"en={path / 'lex_en.tsv'}",
-        "--refs", str(path / "ref.txt"),
+        "--source", *(f"en={path / name}" for name in source),
+        "--lexicon", *(f"en={path / name}" for name in lexicon),
     ]
+
+
+def _directory(path):
+    (path / "a_dir").mkdir()
+    return path / "a_dir"
+
+
+def _simulate_short_refs(path):
+    _write(path / "ref.txt", CS_LINES[:-1])
+    return _simulate(path) + ["--refs", str(path / "ref.txt")]
 
 
 def _noise_train(path, gold):
@@ -736,6 +745,62 @@ BAD_INPUTS = [
         "--seed needs a value >= 0, got -1",
     ),
     ("noise-train-empty-gold", lambda p: _noise_train(p, []), 2, "gold.txt has no gold tokens"),
+    # paths that cannot be read or written: en.txt is a regular file
+    (
+        "noise-apply-out-under-file",
+        lambda p: [
+            "noise-apply", "--model", str(p / "noise_en.tsv"), "--seed", "1",
+            "--in", str(p / "en.txt"), "--out", str(p / "en.txt" / "x.txt"),
+        ],
+        2,
+        "/en.txt/x.txt'",
+    ),
+    (
+        "simulate-out-under-file",
+        lambda p: _simulate(p) + ["--out", str(p / "en.txt" / "x.txt")],
+        2,
+        "/en.txt/x.txt'",
+    ),
+    # the config does not exist: --out-dir is checked before anything is read
+    (
+        "sweep-out-dir-is-file",
+        lambda p: ["sweep", "--config", str(p / "nope.cfg"), "--out-dir", str(p / "en.txt")],
+        2,
+        "en.txt is not a directory",
+    ),
+    (
+        "sweep-out-dir-under-file",
+        lambda p: [
+            "sweep", "--config", str(p / "nope.cfg"), "--out-dir", str(p / "en.txt" / "out"),
+        ],
+        2,
+        "en.txt is not a directory",
+    ),
+    (
+        "score-refs-directory",
+        lambda p: ["score", "--hyps", str(p / "cs.txt"), "--refs", str(_directory(p))],
+        2,
+        "/a_dir'",
+    ),
+    (
+        "simulate-source-directory",
+        lambda p: _simulate(p, source=[_directory(p).name]),
+        2,
+        "/a_dir'",
+    ),
+    # a language given twice: the second file would silently replace the first
+    (
+        "simulate-repeated-source",
+        lambda p: _simulate(p, source=["en.txt", "de.txt"]),
+        3,
+        "--source repeats language 'en'",
+    ),
+    (
+        "simulate-repeated-lexicon",
+        lambda p: _simulate(p, lexicon=["lex_en.tsv", "lex_de.tsv"]),
+        3,
+        "--lexicon repeats language 'en'",
+    ),
     (
         "noise-train-blank-gold",
         lambda p: _noise_train(p, ["", " "]),

@@ -82,21 +82,6 @@ class TestTokenSequence:
         assert seq.raw == "a bb c"
         assert seq.char_offsets == (0, 2, 5)
 
-    def test_prefix(self):
-        seq = TokenSequence.from_raw("ab  cd ef")
-        assert seq.prefix(1).raw == "ab"
-        assert seq.prefix(2).raw == "ab  cd"
-        assert seq.prefix(0).tokens == ()
-        assert seq.prefix(3).raw == seq.raw
-        for k in range(4):
-            # the unchecked prefix is what the validating constructor accepts
-            prefix = seq.prefix(k)
-            assert prefix == TokenSequence(prefix.tokens, prefix.raw)
-
-    def test_prefix_out_of_range(self):
-        with pytest.raises(ContractError):
-            TokenSequence.from_raw("a b").prefix(3)
-
     def test_invariant_violations(self):
         with pytest.raises(ContractError):
             TokenSequence(("a", ""), "a")  # an empty token
@@ -116,12 +101,6 @@ class TestTokenSequence:
         raw, tokens, offsets = reference_token_offsets(text)
         seq = TokenSequence.from_raw(text)
         assert (seq.raw, seq.tokens, seq.char_offsets) == (raw, tokens, offsets)
-        for k in range(len(tokens) + 1):
-            prefix = seq.prefix(k)
-            end = offsets[k - 1] + len(tokens[k - 1]) if k else 0
-            assert (prefix.raw, prefix.tokens, prefix.char_offsets) == (
-                raw[:end], tokens[:k], offsets[:k]
-            )
 
 
 class TestCharFraction:

@@ -32,7 +32,6 @@ from multisimul.metrics import (
 from multisimul.simul import (
     FlushEvent,
     ReadEvent,
-    ReviseEvent,
     SimulEventLog,
     WriteEvent,
 )
@@ -465,10 +464,8 @@ class TestAverageLagging:
             ReadEvent("en", "s2"),
             WriteEvent("t2"),
         ]
-        log = _log(events)
-        with_secondary = average_lagging(log, "en")
-        without = average_lagging(log.filtered({"de"}), "en")
-        assert with_secondary == without
+        without = [e for e in events if not (isinstance(e, ReadEvent) and e.language == "de")]
+        assert average_lagging(_log(events), "en") == average_lagging(_log(without), "en")
 
     def test_requires_primary_reads_and_writes(self):
         with pytest.raises(ContractError):
@@ -481,21 +478,6 @@ class TestNormalizedErasure:
     def test_append_only(self):
         log = _log([ReadEvent("en", "s"), WriteEvent("a"), FlushEvent()])
         assert normalized_erasure(log).ne == 0.0
-
-    def test_single_revision(self):
-        events = [WriteEvent(f"t{i}") for i in range(8)]
-        events.append(ReviseEvent(2, ("a", "b", "c", "d")))
-        report = normalized_erasure(_log(events))
-        assert report.final_length == 10
-        assert report.ne == pytest.approx(0.2)
-
-    def test_two_revisions(self):
-        events = [WriteEvent(f"t{i}") for i in range(8)]
-        events.append(ReviseEvent(1, ("x",)))
-        events.append(ReviseEvent(3, ("y", "z", "w")))
-        report = normalized_erasure(_log(events))
-        assert report.final_length == 8
-        assert report.ne == pytest.approx(0.5)
 
     def test_empty_output_error(self):
         with pytest.raises(ContractError):

@@ -22,20 +22,20 @@ def _vocab_for(translator, source):
 class TestLexiconTranslator:
     def test_word_for_word(self):
         translator = LexiconTranslator({"a": "A", "b": "B"})
-        source = TokenSequence.from_raw("a b")
+        source = ("a", "b")
         result = translator.decode(source, [], _vocab_for(translator, source))
         assert result.tokens == ("A", "B")
         assert result.eos
 
     def test_unknown_copy_policy(self):
         translator = LexiconTranslator({"a": "A"})
-        source = TokenSequence.from_raw("a zzz")
+        source = ("a", "zzz")
         result = translator.decode(source, [], _vocab_for(translator, source))
         assert result.tokens == ("A", "zzz")
 
     def test_margins(self):
         translator = LexiconTranslator({"a": "A"})
-        source = TokenSequence.from_raw("a zzz")
+        source = ("a", "zzz")
         vocab = _vocab_for(translator, source)
         result = translator.decode(source, [], vocab)
         assert result.step_scores[0][vocab.index("A")] == KNOWN_MARGIN
@@ -44,24 +44,24 @@ class TestLexiconTranslator:
 
     def test_forced_prefix_consumed(self):
         translator = LexiconTranslator({"a": "A", "b": "B"})
-        source = TokenSequence.from_raw("a b")
+        source = ("a", "b")
         result = translator.decode(source, ["A"], _vocab_for(translator, source))
         assert result.tokens == ("B",)
 
     def test_prefix_consistency(self):
         translator = LexiconTranslator({"a": "A", "b": "B", "c": "C"})
-        source = TokenSequence.from_raw("a b c")
+        source = ("a", "b", "c")
         vocab = _vocab_for(translator, source)
         full = translator.decode(source, [], vocab).tokens
-        for k in range(1, len(source.tokens) + 1):
-            partial = translator.decode(source.prefix(k), [], vocab).tokens
+        for k in range(1, len(source) + 1):
+            partial = translator.decode(source[:k], [], vocab).tokens
             assert full[: len(partial)] == partial
 
     def test_foreign_forced_tokens_are_skipped(self):
         # forced prefix contains a token produced by another ensemble member;
         # the translator skips it instead of failing
         translator = LexiconTranslator({"a": "A", "b": "B"})
-        source = TokenSequence.from_raw("a b")
+        source = ("a", "b")
         result = translator.decode(
             source, ["A", "OTHER"], _vocab_for(translator, source)
         )
@@ -77,7 +77,7 @@ class TestLexiconTranslator:
 
     def test_deterministic(self):
         translator = LexiconTranslator({"a": "A"})
-        source = TokenSequence.from_raw("a a a")
+        source = ("a", "a", "a")
         vocab = _vocab_for(translator, source)
         first = translator.decode(source, [], vocab)
         second = translator.decode(source, [], vocab)
@@ -91,7 +91,7 @@ class TestLexiconTranslator:
 class TestReorderingTranslator:
     def test_provisional_guess_until_final(self):
         translator = ReorderingTranslator({"v": "V", "a": "A"}, deferred={"v"})
-        source = TokenSequence.from_raw("v a")
+        source = ("v", "a")
         vocab = Vocabulary(translator.output_tokens(source))
         partial = translator.decode(source, [], vocab, final=False)
         assert partial.tokens == ("<v?>", "A")
@@ -100,7 +100,7 @@ class TestReorderingTranslator:
 
     def test_no_deferred_words_is_stable(self):
         translator = ReorderingTranslator({"a": "A"}, deferred={"v"})
-        source = TokenSequence.from_raw("a a")
+        source = ("a", "a")
         vocab = Vocabulary(translator.output_tokens(source))
         assert (
             translator.decode(source, [], vocab, final=False).tokens
@@ -109,7 +109,7 @@ class TestReorderingTranslator:
 
     def test_output_tokens_include_guesses(self):
         translator = ReorderingTranslator({"v": "V"}, deferred={"v"})
-        source = TokenSequence.from_raw("v")
+        source = ("v",)
         assert {"V", "<v?>", EOS} <= translator.output_tokens(source)
 
 
@@ -139,7 +139,7 @@ class TestQueryMemo:
             return LexiconTranslator(MEMO_LEXICON)
 
         translator = make()
-        full = TokenSequence.from_tokens(sentence)
+        full = tuple(sentence)
         vocabs = [Vocabulary(translator.output_tokens(full)) for _ in range(2)]
         forced: list[str] = []
         for _ in range(data.draw(st.integers(1, 15))):
@@ -153,23 +153,23 @@ class TestQueryMemo:
                 forced = data.draw(st.lists(st.sampled_from(MEMO_TARGETS), max_size=6))
             vocab = vocabs[data.draw(st.integers(0, 1))]
             final = data.draw(st.booleans())
-            source = full.prefix(length)
+            source = full[:length]
             assert _answer(translator, source, forced, vocab, final) == _answer(
                 make(), source, forced, vocab, final
             )
 
     def test_longer_source_finds_missing_forced_token(self):
         translator = LexiconTranslator({"a": "A", "b": "B"})
-        source = TokenSequence.from_raw("a b")
+        source = ("a", "b")
         vocab = _vocab_for(translator, source)
         # "B" is another member's token for the one-word prefix ...
-        assert translator.decode(source.prefix(1), ["B"], vocab).tokens == ("A",)
+        assert translator.decode(source[:1], ["B"], vocab).tokens == ("A",)
         # ... and this translator's own second word once the source grows
         assert translator.decode(source, ["B"], vocab).tokens == ()
 
     def test_answers_are_read_only(self):
         translator = LexiconTranslator({"a": "A"})
-        source = TokenSequence.from_raw("a a")
+        source = ("a", "a")
         result = translator.decode(source, [], _vocab_for(translator, source))
         with pytest.raises(ValueError):
             result.step_scores[0][0] = 5.0
