@@ -48,6 +48,24 @@ def _mean_or_zero(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _check_output(path: str | Path, flag: str, directory: bool = False) -> Path:
+    """Refuse an output path that could not be written, before any work runs.
+
+    A file's directory must exist and the file must not be a directory; a
+    directory, made with its parents, must not lie under a regular file.
+    """
+    path = Path(path)
+    folder = path if directory else path.parent
+    existing = next(p for p in (folder, *folder.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"{flag} {path}: {existing} is not a directory")
+    if not directory and existing != folder:
+        raise InputError(f"{flag} {path}: directory {folder} does not exist")
+    if not directory and path.is_dir():
+        raise InputError(f"{flag} {path}: is a directory")
+    return path
+
+
 def _write_tsv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
 
@@ -85,6 +103,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_noise_train(args: argparse.Namespace) -> int:
+    _check_output(args.out, "--out")
     pairs = load_transcript_pairs(
         args.gold, args.asr,
         lowercase=not args.keep_case, strip_punct=args.strip_punct,
@@ -104,6 +123,7 @@ def cmd_noise_train(args: argparse.Namespace) -> int:
 def cmd_noise_apply(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed needs a value >= 0, got {args.seed}")
+    output = _check_output(args.output, "--out")
     model = noise.load_model(args.model)
     if args.target_wer is not None:
         if not 0 <= args.target_wer < math.inf:
@@ -112,9 +132,7 @@ def cmd_noise_apply(args: argparse.Namespace) -> int:
         _progress(f"rescaled by c={model.scale_c:.6f}")
     sentences = [TokenSequence.from_raw(line) for line in _read_lines(args.input)]
     noised = noise.apply_noise_corpus(model, sentences, args.seed)
-    Path(args.output).write_text(
-        "".join(seq.raw + "\n" for seq in noised), encoding="utf-8"
-    )
+    output.write_text("".join(seq.raw + "\n" for seq in noised), encoding="utf-8")
     print(f"noised {len(noised)} sentences to {args.output}")
     return 0
 
@@ -223,16 +241,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     primary = args.primary or languages[0]
     if primary not in languages:
         raise ConfigError(f"primary language {primary!r} has no source")
+    out = None if args.out is None else _check_output(args.out, "--out")
     columns, refs = _load_sources(source_paths, args.refs or [])
     translators = {
         lang: LexiconTranslator(load_lexicon(path))
         for lang, path in lexicon_paths.items()
     }
     outputs, als = _run_system(translators, columns, args.la_n, primary)
-    if args.out is not None:
-        Path(args.out).write_text(
-            "".join(line + "\n" for line in outputs), encoding="utf-8"
-        )
+    if out is not None:
+        out.write_text("".join(line + "\n" for line in outputs), encoding="utf-8")
     rows = [("al", f"{_mean_or_zero(als):.4f}"), ("ne", f"{NE:.4f}")]
     if refs:
         rows.insert(0, ("chrf2", f"{metrics.chrf2(outputs, refs):.4f}"))
@@ -376,11 +393,7 @@ class SweepRow:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    # checked first: mkdir would fail only after every input has loaded
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise InputError(f"--out-dir {out_dir}: {existing} is not a directory")
+    out_dir = _check_output(args.out_dir, "--out-dir", directory=True)
     config = _load_sweep_config(Path(args.config))
     clean, refs = _load_sources(config.sources, [config.reference])
     translators = {

@@ -40,11 +40,13 @@ class LexiconTranslator:
     skipped by matching the forced prefix against this translator's own
     hypothesis as a subsequence.
 
-    The translator remembers its last query: a source prefix that extends
-    the last one only translates the new tokens, and a forced target that
-    extends the last one only consumes the new tokens. Answers share their
-    score vectors, which are read-only. An instance is not safe to share
-    between threads.
+    The translator remembers its last query: the very source tuple of the
+    last query is answered from the stored hypothesis at once, a source
+    prefix that extends the last one only translates the new tokens, and a
+    forced target that extends the last one only consumes the new tokens.
+    Answers share their score vectors, which are read-only; one vector is
+    kept per (token, margin) while the vocabulary stays the same. An
+    instance is not safe to share between threads.
     """
 
     def __init__(self, lexicon: Mapping[str, str]):
@@ -56,6 +58,8 @@ class LexiconTranslator:
         self._vocab: Vocabulary | None = None
         self._tokens: tuple[str, ...] = ()
         self._scores: tuple[np.ndarray, ...] = ()
+        # read-only one-hot vectors of self._vocab, by (token, margin)
+        self._one_hots: dict[tuple[str, float], np.ndarray] = {}
         # the last forced target and where it left the hypothesis pointer
         self._forced: list[str] = []
         self._ptr = 0
@@ -77,21 +81,30 @@ class LexiconTranslator:
     def _update_hypothesis(
         self, source: tuple[str, ...], vocab: Vocabulary, final: bool
     ) -> None:
+        unchanged = vocab is self._vocab and final == self._final
+        # a multi-source update queries every member but the one that read
+        # again, with the same tuple as before
+        if unchanged and source is self._source:
+            return
         known = len(self._source)
-        if vocab is self._vocab and final == self._final and source[:known] == self._source:
+        one_hots = self._one_hots if vocab is self._vocab else {}
+        if unchanged and source[:known] == self._source:
             if len(source) == known:
                 return
             tokens, scores = self._tokens, self._scores
         else:
-            known = 0
-            tokens, scores = (), (_read_only(vocab.one_hot(EOS, KNOWN_MARGIN)),)
+            known, tokens = 0, ()
+            scores = (_one_hot(one_hots, vocab, EOS, KNOWN_MARGIN),)
         entries = [self._entry(tok, final) for tok in source[known:]]
-        self._tokens = tokens + tuple(tok for tok, _ in entries)
-        self._scores = (
+        scores = (
             scores[:-1]
-            + tuple(_read_only(vocab.one_hot(tok, margin)) for tok, margin in entries)
+            + tuple(_one_hot(one_hots, vocab, tok, margin) for tok, margin in entries)
             + scores[-1:]
         )
+        # stored only now: a token missing from the vocabulary raises above
+        # and leaves the remembered query as it was
+        self._tokens = tokens + tuple(tok for tok, _ in entries)
+        self._scores, self._one_hots = scores, one_hots
         self._source, self._vocab, self._final = source, vocab, final
         # a longer hypothesis may hold a forced token that was missing before
         self._forced, self._ptr = [], 0
@@ -126,6 +139,16 @@ class LexiconTranslator:
 
 def _read_only(vector: np.ndarray) -> np.ndarray:
     vector.flags.writeable = False
+    return vector
+
+
+def _one_hot(
+    cache: dict[tuple[str, float], np.ndarray], vocab: Vocabulary, token: str, margin: float
+) -> np.ndarray:
+    """``vocab.one_hot(token, margin)``, read-only, shared through ``cache``."""
+    vector = cache.get((token, margin))
+    if vector is None:
+        vector = cache[token, margin] = _read_only(vocab.one_hot(token, margin))
     return vector
 
 

@@ -158,7 +158,7 @@ class LocalAgreementState:
 def _common_prefix(seqs: Sequence[Sequence[str]]) -> list[str]:
     prefix: list[str] = []
     for position in zip(*seqs):
-        if any(tok != position[0] for tok in position[1:]):
+        if position.count(position[0]) != len(position):
             break
         prefix.append(position[0])
     return prefix
@@ -207,12 +207,19 @@ def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
     """Element-wise arithmetic mean of member score vectors."""
     if not step_scores:
         raise ContractError("late_average needs at least one score vector")
-    dims = {len(v) for v in step_scores}
-    if len(dims) != 1:
-        raise ContractError(f"score vector dimensions differ: {sorted(dims)}")
-    arr = np.asarray(step_scores, dtype=float)
-    # a sum then a division by the count is what np.mean computes, bit for bit
-    return np.add.reduce(arr, axis=0) / len(arr)
+    dim = len(step_scores[0])
+    for vector in step_scores:
+        if len(vector) != dim:
+            dims = sorted({len(v) for v in step_scores})
+            raise ContractError(f"score vector dimensions differ: {dims}")
+    # np.mean of the stacked vectors, bit for bit: np.add.reduce over axis 0
+    # adds the rows one after another to +0.0 (so -0.0 comes out as +0.0),
+    # then the sum is divided by the count
+    total = np.add(0.0, step_scores[0], dtype=float)
+    for vector in step_scores[1:]:
+        total += vector
+    total /= len(step_scores)
+    return total
 
 
 def _build_vocab(
@@ -254,31 +261,38 @@ def _joint_hypothesis(
     consistency that is what a new query would answer); the others, and any
     member without a vector left, are queried again at the next step.
     """
-    langs = list(translators)
+    # each member's language, decode method and source prefix with its length,
+    # looked up once for all of the call's queries
+    members = [
+        (lang, translators[lang].decode, prefixes[lang], len(prefixes[lang]))
+        for lang in translators
+    ]
 
-    def query(lang: str, target: Sequence[str]) -> DecodeResult:
-        result = translators[lang].decode(prefixes[lang], target, vocab, final)
-        guard.check((lang, len(prefixes[lang]), tuple(target), final), result)
+    def query(m: int, target: Sequence[str]) -> DecodeResult:
+        lang, decode, prefix, known = members[m]
+        result = decode(prefix, target, vocab, final)
+        guard.check((lang, known, tuple(target), final), result)
         return result
 
-    if len(langs) == 1:
-        return list(committed) + list(query(langs[0], committed).tokens)
+    if len(members) == 1:
+        return list(committed) + list(query(0, committed).tokens)
 
     target = list(committed)
-    results: list[DecodeResult | None] = [None] * len(langs)
-    cursors = [0] * len(langs)
+    results: list[DecodeResult | None] = [None] * len(members)
+    cursors = [0] * len(members)
+    token_at = vocab.token
     for _ in range(max_new_tokens):
         vectors = []
-        for m, lang in enumerate(langs):
-            result = results[m]
+        for m, result in enumerate(results):
             if result is None:
-                result = results[m] = query(lang, target)
+                result = results[m] = query(m, target)
                 cursors[m] = 0
                 if not result.step_scores:
-                    raise EngineError(f"translator for {lang!r} returned no score vector")
+                    raise EngineError(
+                        f"translator for {members[m][0]!r} returned no score vector"
+                    )
             vectors.append(result.step_scores[cursors[m]])
-        combined = late_average(vectors)
-        token = vocab.token(int(np.argmax(combined)))
+        token = token_at(late_average(vectors).argmax())
         if token == EOS:
             break
         target.append(token)

@@ -1,0 +1,28 @@
+"""The benchmark's sweep fixture still produces the bytes recorded for it.
+
+Generates the bench ``sweep`` input for seed 0 with ``bench/workloads.py``,
+runs its commands through ``multisimul.cli.main`` in this process and checks
+``bench/run.py``'s output digest against ``bench/digests.json``.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+from multisimul.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_sweep_seed0_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.make("sweep", tmp_path, 0, BENCH.parent)
+    monkeypatch.chdir(tmp_path)
+    stdouts = []
+    for argv in wl.commands:
+        assert main(argv) == 0
+        stdouts.append(capsys.readouterr().out)
+    recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+    assert run.output_digest(tmp_path, wl, stdouts) == recorded["sweep"]["0"]

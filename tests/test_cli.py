@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from multisimul import cli, noise
 from multisimul.cli import _run_system, main
 from multisimul.corpus import TokenSequence
 from multisimul.mock_mt import LexiconTranslator
@@ -753,13 +754,46 @@ BAD_INPUTS = [
             "--in", str(p / "en.txt"), "--out", str(p / "en.txt" / "x.txt"),
         ],
         2,
-        "/en.txt/x.txt'",
+        "/en.txt/x.txt: ",
+    ),
+    (
+        "noise-apply-out-missing-directory",
+        lambda p: [
+            "noise-apply", "--model", str(p / "noise_en.tsv"), "--seed", "1",
+            "--in", str(p / "en.txt"), "--out", str(p / "nope" / "x.txt"),
+        ],
+        2,
+        "/nope/x.txt: directory ",
     ),
     (
         "simulate-out-under-file",
         lambda p: _simulate(p) + ["--out", str(p / "en.txt" / "x.txt")],
         2,
-        "/en.txt/x.txt'",
+        "/en.txt/x.txt: ",
+    ),
+    (
+        "simulate-out-missing-directory",
+        lambda p: _simulate(p) + ["--out", str(p / "nope" / "x.txt")],
+        2,
+        "/nope/x.txt: directory ",
+    ),
+    (
+        "simulate-out-is-directory",
+        lambda p: _simulate(p) + ["--out", str(_directory(p))],
+        2,
+        "/a_dir: is a directory",
+    ),
+    (
+        "noise-train-out-is-directory",
+        lambda p: _noise_train(p, ["a b"])[:-1] + [str(_directory(p))],
+        2,
+        "/a_dir: is a directory",
+    ),
+    (
+        "noise-train-out-under-file",
+        lambda p: _noise_train(p, ["a b"])[:-1] + [str(p / "en.txt" / "model.tsv")],
+        2,
+        "en.txt is not a directory",
     ),
     # the config does not exist: --out-dir is checked before anything is read
     (
@@ -813,8 +847,18 @@ BAD_INPUTS = [
 @pytest.mark.parametrize(
     "build, code, named", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
-def test_bad_input_exit_code(workspace, capsys, build, code, named):
-    exit_code = main(build(workspace))
+def test_bad_input_exit_code(workspace, capsys, monkeypatch, build, code, named):
+    argv = build(workspace)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected command ran engine or noise work")
+
+    # every case is rejected before a sentence is streamed or noised, or a
+    # noise model trained
+    monkeypatch.setattr(cli, "_run_system", no_work)
+    monkeypatch.setattr(noise, "train_noise_model", no_work)
+    monkeypatch.setattr(noise, "apply_noise_corpus", no_work)
+    exit_code = main(argv)
     assert exit_code == code
     assert exit_code != 1  # 1 is the catch-all for package errors with no documented code
     err = capsys.readouterr().err

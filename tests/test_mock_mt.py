@@ -140,7 +140,12 @@ class TestQueryMemo:
 
         translator = make()
         full = tuple(sentence)
-        vocabs = [Vocabulary(translator.output_tokens(full)) for _ in range(2)]
+        # "0" sorts before every word, so the two vocabularies index apart
+        tokens = translator.output_tokens(full)
+        vocabs = [Vocabulary(tokens), Vocabulary(tokens | {"0"})]
+        # one tuple object per length: a query that repeats a length passes the
+        # very tuple of the last query, as a multi-source update does
+        prefixes = [full[:length] for length in range(len(full) + 1)]
         forced: list[str] = []
         for _ in range(data.draw(st.integers(1, 15))):
             length = data.draw(st.integers(0, len(sentence)))
@@ -153,7 +158,7 @@ class TestQueryMemo:
                 forced = data.draw(st.lists(st.sampled_from(MEMO_TARGETS), max_size=6))
             vocab = vocabs[data.draw(st.integers(0, 1))]
             final = data.draw(st.booleans())
-            source = full[:length]
+            source = prefixes[length]
             assert _answer(translator, source, forced, vocab, final) == _answer(
                 make(), source, forced, vocab, final
             )
@@ -166,6 +171,14 @@ class TestQueryMemo:
         assert translator.decode(source[:1], ["B"], vocab).tokens == ("A",)
         # ... and this translator's own second word once the source grows
         assert translator.decode(source, ["B"], vocab).tokens == ()
+
+    def test_missing_vocabulary_token_keeps_the_memo(self):
+        translator = LexiconTranslator({"a": "A"})
+        vocab = Vocabulary({"A", EOS})
+        assert translator.decode(("a",), [], vocab).tokens == ("A",)
+        with pytest.raises(KeyError):
+            translator.decode(("a", "zzz"), [], vocab)  # "zzz" is not in vocab
+        assert translator.decode(("a",), [], vocab).tokens == ("A",)
 
     def test_answers_are_read_only(self):
         translator = LexiconTranslator({"a": "A"})

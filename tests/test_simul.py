@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence
@@ -16,13 +16,14 @@ from multisimul.simul import (
     SimulEventLog,
     Vocabulary,
     WriteEvent,
+    _common_prefix,
     decode_full,
     la_step,
     late_average,
     run_simul,
     schedule_reads,
 )
-from oracles import reference_decode_full, reference_run_simul
+from oracles import _reference_common_prefix, reference_decode_full, reference_run_simul
 
 
 class TestLocalAgreement:
@@ -50,6 +51,18 @@ class TestLocalAgreement:
     def test_n_must_be_positive(self):
         with pytest.raises(ContractError):
             LocalAgreementState(0)
+
+    @given(st.data(), st.lists(st.sampled_from("abc"), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_common_prefix_matches_oracle(self, data, shared):
+        # 1 to 15 hypotheses, each a random cut of one shared prefix plus a
+        # random tail, so that rings agree on prefixes of every length
+        ring = [
+            shared[: data.draw(st.integers(0, len(shared)))]
+            + data.draw(st.lists(st.sampled_from("abc"), max_size=4))
+            for _ in range(data.draw(st.integers(1, 15)))
+        ]
+        assert _common_prefix(ring) == _reference_common_prefix(ring)
 
 
 class TestScheduleReads:
@@ -122,10 +135,38 @@ class TestLateAverage:
         )
 
     def test_errors(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^late_average needs at least one score vector$"):
             late_average([])
-        with pytest.raises(ContractError):
-            late_average([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ContractError, match=r"^score vector dimensions differ: \[2, 3\]$"):
+            late_average([np.zeros(3), np.zeros(2), np.zeros(3)])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([np.float64, np.float32, np.int64]),
+                st.lists(
+                    st.tuples(st.floats(-1, 1), st.integers(-8, 8)), min_size=4, max_size=4
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    # numpy's sum starts from +0.0, so a column of -0.0 averages to +0.0
+    @example([(np.float64, [(-0.0, 0)] * 4)])
+    @example([(np.float64, [(-0.0, 0)] * 4)] * 3)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_stacked_mean(self, members):
+        # vectors of mixed dtypes whose entries span magnitudes 1e-8 to 1e8
+        vectors = [
+            np.array([m * 10.0**e for m, e in entries]).astype(dtype)
+            for dtype, entries in members
+        ]
+        expected = np.add.reduce(np.asarray(vectors, dtype=float), axis=0) / len(vectors)
+        combined = late_average(vectors)
+        assert combined.dtype == expected.dtype
+        assert combined.tobytes() == expected.tobytes()
+        assert all(not np.shares_memory(combined, v) for v in vectors)
 
 
 IDENTITY_LEXICON = {"a": "a", "b": "b", "c": "c"}
