@@ -4,7 +4,6 @@ from .corpus import (
     TokenSequence,
     TranscriptPair,
     WordAlignment,
-    char_fraction,
     load_parallel,
     load_word_alignment,
     tokenize_13a,

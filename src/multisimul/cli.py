@@ -236,7 +236,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     source_paths = _parse_lang_file(args.source, "--source")
     lexicon_paths = _parse_lang_file(args.lexicon, "--lexicon")
     if set(source_paths) != set(lexicon_paths):
-        raise ConfigError("--source and --lexicon must name the same languages")
+        raise ConfigError(
+            "--source and --lexicon must name the same languages, got "
+            f"{','.join(source_paths)} and {','.join(lexicon_paths)}"
+        )
     languages = list(source_paths)
     primary = args.primary or languages[0]
     if primary not in languages:
@@ -334,13 +337,15 @@ def _load_sweep_config(path: Path) -> SweepConfig:
         if not all(0 <= w < math.inf for w in targets):
             raise ConfigError(f"{path}: wer cell {cell!r} needs finite targets >= 0")
         wer_grid.append(targets)
-    try:
-        la_grid = [int(v) for v in require("la_grid").split(",")]
-        seeds = [int(v) for v in require("seeds").split(",")]
-    except ValueError:
-        raise ConfigError(f"{path}: la_grid and seeds must be integers") from None
-    if not wer_grid or not la_grid or not seeds:
-        raise ConfigError(f"{path}: grids and seeds must be non-empty")
+
+    def integers(key: str) -> list[int]:
+        text = require(key)
+        try:
+            return [int(v) for v in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"{path}: {key} must be integers, got {text!r}") from None
+
+    la_grid, seeds = integers("la_grid"), integers("seeds")
     if min(la_grid) < 1:
         raise ConfigError(f"{path}: la_grid sizes must be at least 1")
     if min(seeds) < 0:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +21,6 @@ __all__ = [
     "load_parallel",
     "load_transcript_pairs",
     "load_word_alignment",
-    "char_fraction",
 ]
 
 
@@ -51,16 +49,6 @@ class TokenSequence:
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenSequence":
         """Build a sequence whose raw form is the single-space join of tokens."""
         return cls(tuple(tokens), " ".join(tokens))
-
-    @cached_property
-    def char_offsets(self) -> tuple[int, ...]:
-        """Start of each token inside ``raw``: only whitespace lies between two
-        tokens, so a token starts where its text next occurs after the last."""
-        offsets, end = [], 0
-        for tok in self.tokens:
-            end = self.raw.index(tok, end) + len(tok)
-            offsets.append(end - len(tok))
-        return tuple(offsets)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -213,14 +201,3 @@ def load_word_alignment(path: str | Path) -> list[WordAlignment]:
         alignments.append(WordAlignment(frozenset(links)))
     return alignments
 
-
-def char_fraction(sentence: TokenSequence, prefix_len: int) -> float:
-    """Fraction of raw characters covered by the first ``prefix_len`` tokens."""
-    if not 0 <= prefix_len <= len(sentence.tokens):
-        raise ContractError(
-            f"prefix_len {prefix_len} out of range 0..{len(sentence.tokens)}"
-        )
-    if prefix_len == 0:
-        return 1.0 if not sentence.raw else 0.0
-    covered = sentence.char_offsets[prefix_len - 1] + len(sentence.tokens[prefix_len - 1])
-    return covered / len(sentence.raw)

@@ -40,10 +40,10 @@ class LexiconTranslator:
     skipped by matching the forced prefix against this translator's own
     hypothesis as a subsequence.
 
-    The translator remembers its last query: the very source tuple of the
-    last query is answered from the stored hypothesis at once, a source
-    prefix that extends the last one only translates the new tokens, and a
-    forced target that extends the last one only consumes the new tokens.
+    The translator remembers its last query: a source prefix equal to the
+    last one is answered from the stored hypothesis, one that extends it only
+    translates the new tokens, and a forced target that extends the last one
+    only consumes the new tokens.
     Answers share their score vectors, which are read-only; one vector is
     kept per (token, margin) while the vocabulary stays the same. An
     instance is not safe to share between threads.
@@ -82,10 +82,6 @@ class LexiconTranslator:
         self, source: tuple[str, ...], vocab: Vocabulary, final: bool
     ) -> None:
         unchanged = vocab is self._vocab and final == self._final
-        # a multi-source update queries every member but the one that read
-        # again, with the same tuple as before
-        if unchanged and source is self._source:
-            return
         known = len(self._source)
         one_hots = self._one_hots if vocab is self._vocab else {}
         if unchanged and source[:known] == self._source:
@@ -134,7 +130,7 @@ class LexiconTranslator:
     ) -> DecodeResult:
         self._update_hypothesis(source_prefix, vocab, final)
         ptr = self._consume_forced(forced_target)
-        return DecodeResult(self._tokens[ptr:], self._scores[ptr:], eos=True)
+        return DecodeResult(self._tokens[ptr:], self._scores[ptr:])
 
 
 def _read_only(vector: np.ndarray) -> np.ndarray:

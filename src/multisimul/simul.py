@@ -8,7 +8,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import TokenSequence, char_fraction
+from .corpus import TokenSequence
 from .errors import ContractError, EngineError
 
 __all__ = [
@@ -64,12 +64,11 @@ class DecodeResult:
     """Greedy continuation beyond the forced prefix plus per-step score vectors.
 
     ``step_scores`` holds one vector per continuation token, followed by the
-    end-of-sentence vector when ``eos`` is True.
+    end-of-sentence vector.
     """
 
     tokens: tuple[str, ...]
     step_scores: tuple[np.ndarray, ...]
-    eos: bool
 
 
 class IncrementalTranslator(Protocol):
@@ -79,7 +78,7 @@ class IncrementalTranslator(Protocol):
     greedy-consistent: if ``decode(source, forced, vocab, final)`` returns
     continuation ``t`` with score vectors ``s``, then forcing its own next
     token, ``decode(source, [*forced, t[0]], vocab, final)``, returns
-    ``t[1:]``, ``s[1:]`` and the same ``eos``. The multi-source engine relies
+    ``t[1:]`` and ``s[1:]``. The multi-source engine relies
     on this: a member whose next token is the joint choice is not decoded
     again, only the members that dissent are.
     """
@@ -188,19 +187,22 @@ class ReadSlot:
 def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[ReadSlot]:
     """Interleave per-language reads sorted by character-length fraction.
 
-    Each slot advances exactly one language by one token. Ties break by the
-    mapping order of ``sources``, then token index.
+    A token's fraction is where it ends in its raw text over the text's
+    length. Each slot advances exactly one language by one token. Ties break
+    by the mapping order of ``sources``, then token index.
     """
     if not sources:
         raise ContractError("at least one source language is required")
-    rank = {lang: i for i, lang in enumerate(sources)}
-    slots = [
-        ReadSlot(lang, i, char_fraction(sent, i + 1))
-        for lang, sent in sources.items()
-        for i in range(len(sent.tokens))
-    ]
-    slots.sort(key=lambda s: (s.fraction, rank[s.language], s.token_index))
-    return slots
+    slots = []
+    for rank, (lang, sent) in enumerate(sources.items()):
+        # only whitespace lies between two tokens, so a token ends where its
+        # text next occurs after the end of the last one
+        raw, end = sent.raw, 0
+        for i, tok in enumerate(sent.tokens):
+            end = raw.index(tok, end) + len(tok)
+            slots.append((end / len(raw), rank, i, lang))
+    slots.sort()
+    return [ReadSlot(lang, i, fraction) for fraction, _, i, lang in slots]
 
 
 def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
@@ -239,9 +241,8 @@ class _DeterminismGuard:
         self._seen: dict[tuple, tuple] = {}
 
     def check(self, key: tuple, result: DecodeResult) -> None:
-        fingerprint = (result.tokens, result.eos)
-        previous = self._seen.setdefault(key, fingerprint)
-        if previous != fingerprint:
+        previous = self._seen.setdefault(key, result.tokens)
+        if previous != result.tokens:
             raise EngineError(f"translator determinism violation for query {key[:3]}")
 
 
@@ -258,8 +259,9 @@ def _joint_hypothesis(
 
     Each member's last answer is read with a cursor. After a joint token, a
     member whose own next token it was moves its cursor on (by greedy
-    consistency that is what a new query would answer); the others, and any
-    member without a vector left, are queried again at the next step.
+    consistency that is what a new query would answer); the others are
+    queried again at the next step. An answer ends with its EOS vector, so a
+    cursor on a token always has a vector after it.
     """
     # each member's language, decode method and source prefix with its length,
     # looked up once for all of the call's queries
@@ -287,9 +289,11 @@ def _joint_hypothesis(
             if result is None:
                 result = results[m] = query(m, target)
                 cursors[m] = 0
-                if not result.step_scores:
+                if len(result.step_scores) != len(result.tokens) + 1:
                     raise EngineError(
-                        f"translator for {members[m][0]!r} returned no score vector"
+                        f"translator for {members[m][0]!r} returned "
+                        f"{len(result.step_scores)} score vectors for "
+                        f"{len(result.tokens)} tokens, not one per token plus EOS"
                     )
             vectors.append(result.step_scores[cursors[m]])
         token = token_at(late_average(vectors).argmax())
@@ -298,11 +302,7 @@ def _joint_hypothesis(
         target.append(token)
         for m, result in enumerate(results):
             c = cursors[m]
-            if (
-                c < len(result.tokens)
-                and result.tokens[c] == token
-                and c + 1 < len(result.step_scores)
-            ):
+            if c < len(result.tokens) and result.tokens[c] == token:
                 cursors[m] = c + 1
             else:
                 results[m] = None

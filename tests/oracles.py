@@ -97,11 +97,22 @@ def reference_tokenize_13a(line: str) -> list[str]:
     return text.split()
 
 
+# every whitespace character of str.isspace (the set re's \s matches), and
+# two format characters that look like spaces but are not whitespace
+SPLIT_ALPHABET = (
+    "ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+    + "\u200b\ufeff"
+)
+
+
 def reference_token_offsets(raw: str) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
     """The stripped ``raw``, its tokens and each token's start in it, by regex.
 
     The package's earlier ``TokenSequence.from_raw``, kept as the oracle for
-    the offsets the package derives from the whitespace split.
+    the whitespace split and for the token positions that read scheduling
+    finds in the raw text.
     """
     raw = raw.strip()
     tokens: list[str] = []

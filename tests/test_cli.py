@@ -377,6 +377,25 @@ class TestSimulateCommand:
         expected, _ = simulate(kept, kept)
         assert rows == expected
 
+    def test_all_sources_empty_sentence(self, workspace, tmp_path, capsys):
+        # no source has a token, so the sentence is not streamed at all
+        lines = [EN_LINES[0], "", EN_LINES[2]]
+        _write(tmp_path / "en.txt", lines)
+        _write(tmp_path / "de.txt", lines)
+        code = main(
+            [
+                "simulate",
+                "--source", f"en={tmp_path / 'en.txt'}", f"de={tmp_path / 'de.txt'}",
+                "--lexicon", f"en={workspace / 'lex_en.tsv'}", f"de={workspace / 'lex_de.tsv'}",
+                "--la-n", "2",
+                "--out", str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 0
+        assert "1 of 3 sentences left out of AL (" in capsys.readouterr().err
+        outputs = (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()
+        assert outputs == [CS_LINES[0], "", CS_LINES[2]]
+
     def test_bad_utf8_lexicon_exit_code(self, workspace, capsys):
         (workspace / "lex_en.tsv").write_bytes(b"e01\tc01\n\xff\tc02\n")
         code = main(
@@ -506,44 +525,48 @@ class TestSweep:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     def test_config_errors(self, workspace, capsys):
-        config = _sweep_config(workspace, wer_grid="0:0")
-        text = config.read_text(encoding="utf-8").replace("version=1", "version=9")
-        config.write_text(text, encoding="utf-8")
-        assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "o")]) == 3
-
         bad = workspace / "bad.cfg"
         bad.write_text("version=1\nlanguages=en\n", encoding="utf-8")
-        assert main(["sweep", "--config", str(bad), "--out-dir", str(workspace / "o")]) == 3
+        assert main(["sweep", "--config", str(bad), "--out-dir", str(workspace / "out")]) == 3
+        assert "missing required key 'wer_grid'" in capsys.readouterr().err
 
-        config2 = _sweep_config(workspace, wer_grid="0.1")  # needs two values
-        assert main(["sweep", "--config", str(config2), "--out-dir", str(workspace / "o")]) == 3
-
+        # (line that replaces the config's line with the same key, text that
+        # stderr must name); each is rejected before any work
         rejected_before_any_work = [
-            ("wer_grid", "-0.3:-0.3"),  # would silently run clean
-            ("wer_grid", "nan:0.1"),
-            ("la_grid", "0"),
-            ("languages", "en,en"),
-            ("languages", "en,multi"),  # would overwrite the multi system's rows
-            ("wer_grid", "0.101:0.101,0.104:0.104"),  # both write tradeoff_en0.10_de0.10
-            ("wer_grid", "0.1:0.1,0.1:0.1"),
-            ("la_grid", "2,2"),
-            ("seeds", "1,1"),
+            ("version=9", "missing or unsupported config version"),
+            ("la_grid 2", "line 12 is not key=value: 'la_grid 2'"),
+            ("languages=", "languages must be non-empty"),
+            ("languages=en,en", "languages must be distinct: en,en"),
+            # would overwrite the multi system's rows
+            ("languages=en,multi", "'multi' names the multi-source system"),
+            ("primary=fr", "primary 'fr' not among languages"),
+            ("wer_grid=0.1", "wer cell '0.1' needs 2 colon-separated values"),
+            ("wer_grid=", "wer cell '' needs 2 colon-separated values"),
+            ("wer_grid=0.1:x", "non-numeric wer cell '0.1:x'"),
+            # would silently run clean
+            ("wer_grid=-0.3:-0.3", "wer cell '-0.3:-0.3' needs finite targets >= 0"),
+            ("wer_grid=nan:0.1", "wer cell 'nan:0.1' needs finite targets >= 0"),
+            # both write tradeoff_en0.10_de0.10.tsv
+            ("wer_grid=0.101:0.101,0.104:0.104", "wer_grid repeats tradeoff_en0.10_de0.10.tsv"),
+            ("wer_grid=0.1:0.1,0.1:0.1", "wer_grid repeats tradeoff_en0.10_de0.10.tsv"),
+            ("la_grid=0", "la_grid sizes must be at least 1"),
+            ("la_grid=2,x", "la_grid must be integers, got '2,x'"),
+            ("la_grid=", "la_grid must be integers, got ''"),
+            ("la_grid=2,2", "la_grid repeats 2"),
+            ("seeds=", "seeds must be integers, got ''"),
+            ("seeds=1,1", "seeds repeats 1"),
         ]
-        for key, value in rejected_before_any_work:
-            grids = {"wer_grid": "0.1:0.1", "la_grid": "2", "seeds": "1"}
-            if key in grids:
-                grids[key] = value
-            config = _sweep_config(workspace, **grids)
-            if key == "languages":
-                # the second language takes over de's files, so only the name is wrong
-                second = value.split(",")[1]
-                text = config.read_text(encoding="utf-8").replace(".de=", f".{second}=")
-                config.write_text(text.replace("en,de", value), encoding="utf-8")
-            out_dir = workspace / "o"
-            capsys.readouterr()
-            assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 3, value
-            assert "config error" in capsys.readouterr().err, value
-            assert not out_dir.exists(), value
+        for line, named in rejected_before_any_work:
+            config = _sweep_config(workspace, wer_grid="0.1:0.1", la_grid="2", seeds="1")
+            key = line.split("=")[0].split()[0]
+            lines = config.read_text(encoding="utf-8").splitlines()
+            _write(config, [line if old.startswith(key + "=") else old for old in lines])
+            out_dir = workspace / "out"
+            assert main(["sweep", "--config", str(config), "--out-dir", str(out_dir)]) == 3, line
+            err = capsys.readouterr().err
+            assert "config error" in err and named in err, (line, err)
+            assert "Traceback" not in err, line
+            assert not out_dir.exists(), line
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -834,6 +857,20 @@ BAD_INPUTS = [
         lambda p: _simulate(p, lexicon=["lex_en.tsv", "lex_de.tsv"]),
         3,
         "--lexicon repeats language 'en'",
+    ),
+    (
+        "simulate-source-and-lexicon-languages-differ",
+        lambda p: [
+            "simulate", "--source", f"en={p / 'en.txt'}", "--lexicon", f"de={p / 'lex_de.tsv'}",
+        ],
+        3,
+        "--source and --lexicon must name the same languages, got en and de",
+    ),
+    (
+        "simulate-primary-without-source",
+        lambda p: _simulate(p) + ["--primary", "fr"],
+        3,
+        "primary language 'fr' has no source",
     ),
     (
         "noise-train-blank-gold",

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from multisimul.corpus import (
     TokenSequence,
-    char_fraction,
     load_parallel,
     load_transcript_pairs,
     load_word_alignment,
@@ -18,7 +17,7 @@ from multisimul.errors import (
     ParseError,
 )
 
-from oracles import reference_token_offsets, reference_tokenize_13a
+from oracles import SPLIT_ALPHABET, reference_token_offsets, reference_tokenize_13a
 
 
 class TestTokenize13a:
@@ -60,27 +59,17 @@ class TestTokenize13a:
         assert list(tokenize_13a(rejoined)) == reference_tokenize_13a(rejoined)
 
 
-# every whitespace character of str.isspace (the set re's \s matches), and
-# two format characters that look like spaces but are not whitespace
-SPLIT_ALPHABET = (
-    "ab \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
-    + "".join(map(chr, range(0x2000, 0x200B)))
-    + "\u2028\u2029\u202f\u205f\u3000"
-    + "\u200b\ufeff"
-)
-
-
 class TestTokenSequence:
     def test_from_raw_offsets(self):
         seq = TokenSequence.from_raw("  ab  cd ")
         assert seq.tokens == ("ab", "cd")
         assert seq.raw == "ab  cd"
-        assert seq.char_offsets == (0, 4)
+        assert [seq.raw.index(tok) for tok in seq.tokens] == [0, 4]
 
     def test_from_tokens_round_trip(self):
         seq = TokenSequence.from_tokens(["a", "bb", "c"])
         assert seq.raw == "a bb c"
-        assert seq.char_offsets == (0, 2, 5)
+        assert TokenSequence.from_raw(seq.raw) == seq
 
     def test_invariant_violations(self):
         with pytest.raises(ContractError):
@@ -98,32 +87,9 @@ class TestTokenSequence:
     @example(" \ufeffa\x1cb\u200b\u3000c\x85")
     @settings(max_examples=300, deadline=None)
     def test_matches_regex_oracle(self, text):
-        raw, tokens, offsets = reference_token_offsets(text)
+        raw, tokens, _ = reference_token_offsets(text)
         seq = TokenSequence.from_raw(text)
-        assert (seq.raw, seq.tokens, seq.char_offsets) == (raw, tokens, offsets)
-
-
-class TestCharFraction:
-    def test_zero_prefix(self):
-        assert char_fraction(TokenSequence.from_raw("ab cd"), 0) == 0.0
-
-    def test_full_prefix(self):
-        assert char_fraction(TokenSequence.from_raw("ab cd"), 2) == 1.0
-
-    def test_partial(self):
-        assert char_fraction(TokenSequence.from_raw("ab cd"), 1) == pytest.approx(0.4)
-
-    def test_out_of_range(self):
-        with pytest.raises(ContractError):
-            char_fraction(TokenSequence.from_raw("ab"), 2)
-
-    @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_monotone(self, tokens):
-        seq = TokenSequence.from_tokens(tokens)
-        fractions = [char_fraction(seq, k) for k in range(len(tokens) + 1)]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
+        assert (seq.raw, seq.tokens) == (raw, tokens)
 
 
 class TestLoaders:

@@ -25,7 +25,9 @@ class TestLexiconTranslator:
         source = ("a", "b")
         result = translator.decode(source, [], _vocab_for(translator, source))
         assert result.tokens == ("A", "B")
-        assert result.eos
+        # one vector per token, then the EOS vector
+        assert len(result.step_scores) == 3
+        assert result.step_scores[-1].argmax() == 0  # EOS is index 0
 
     def test_unknown_copy_policy(self):
         translator = LexiconTranslator({"a": "A"})
@@ -116,7 +118,7 @@ class TestReorderingTranslator:
 def _answer(translator, source, forced, vocab, final):
     """A decode answer as comparable values."""
     result = translator.decode(source, forced, vocab, final)
-    return result.tokens, result.eos, [v.tolist() for v in result.step_scores]
+    return result.tokens, [v.tolist() for v in result.step_scores]
 
 
 MEMO_LEXICON = {"a": "A", "b": "B", "c": "C", "d": "A"}
@@ -143,9 +145,6 @@ class TestQueryMemo:
         # "0" sorts before every word, so the two vocabularies index apart
         tokens = translator.output_tokens(full)
         vocabs = [Vocabulary(tokens), Vocabulary(tokens | {"0"})]
-        # one tuple object per length: a query that repeats a length passes the
-        # very tuple of the last query, as a multi-source update does
-        prefixes = [full[:length] for length in range(len(full) + 1)]
         forced: list[str] = []
         for _ in range(data.draw(st.integers(1, 15))):
             length = data.draw(st.integers(0, len(sentence)))
@@ -158,7 +157,7 @@ class TestQueryMemo:
                 forced = data.draw(st.lists(st.sampled_from(MEMO_TARGETS), max_size=6))
             vocab = vocabs[data.draw(st.integers(0, 1))]
             final = data.draw(st.booleans())
-            source = prefixes[length]
+            source = full[:length]
             assert _answer(translator, source, forced, vocab, final) == _answer(
                 make(), source, forced, vocab, final
             )

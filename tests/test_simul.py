@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,13 @@ from multisimul.simul import (
     run_simul,
     schedule_reads,
 )
-from oracles import _reference_common_prefix, reference_decode_full, reference_run_simul
+from oracles import (
+    SPLIT_ALPHABET,
+    _reference_common_prefix,
+    reference_decode_full,
+    reference_run_simul,
+    reference_token_offsets,
+)
 
 
 class TestLocalAgreement:
@@ -106,6 +114,36 @@ class TestScheduleReads:
             "de": TokenSequence.from_raw("ee ff"),
         }
         assert len(schedule_reads(sources)) == 6
+
+    def test_hand_computed_fractions(self):
+        slots = schedule_reads({"en": TokenSequence.from_raw("ab cd")})
+        assert [s.fraction for s in slots] == [2 / 5, 1.0]
+
+    @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_fractions_rise_to_one(self, tokens):
+        slots = schedule_reads({"en": TokenSequence.from_tokens(tokens)})
+        fractions = [s.fraction for s in slots]
+        assert fractions == sorted(set(fractions))
+        assert fractions[-1] == 1.0
+
+    @given(st.lists(st.text(alphabet=SPLIT_ALPHABET, max_size=20), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_fractions_match_regex_oracle(self, texts):
+        # each token's end, found by regex, over the raw length; ordered by
+        # the exact fraction, then mapping order, then token index
+        sources = {f"l{rank}": TokenSequence.from_raw(text) for rank, text in enumerate(texts)}
+        expected = []
+        for rank, (lang, sent) in enumerate(sources.items()):
+            raw, words, offsets = reference_token_offsets(sent.raw)
+            for i, (tok, offset) in enumerate(zip(words, offsets)):
+                exact = Fraction(offset + len(tok), len(raw))
+                expected.append((exact, rank, i, lang, (offset + len(tok)) / len(raw)))
+        expected.sort()
+        slots = schedule_reads(sources)
+        assert [(s.language, s.token_index, s.fraction) for s in slots] == [
+            (lang, i, fraction) for _, _, i, lang, fraction in expected
+        ]
 
     def test_errors(self):
         with pytest.raises(ContractError):
@@ -240,16 +278,31 @@ class TestRunSimul:
             def decode(self, source_prefix, forced_target, vocab, final=False):
                 self.calls += 1
                 token = "x" if self.calls % 2 else "y"
-                return DecodeResult((token,), (vocab.one_hot(token),), eos=True)
+                return DecodeResult((token,), (vocab.one_hot(token), vocab.one_hot(EOS)))
 
         # in multi mode the engine re-asks the same (prefix, forced) query
         # across rounds, which is where flakiness becomes observable
         source = TokenSequence.from_raw("a b c")
         stable = LexiconTranslator({"a": "x", "b": "x", "c": "x"})
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="determinism violation"):
             run_simul(
                 {"en": Flaky(), "de": stable}, {"en": source, "de": source}, 5
             )
+
+    @pytest.mark.parametrize("vectors", [0, 1, 3])
+    def test_answer_without_one_eos_vector(self, vectors):
+        # one token must come with exactly two vectors: its own and EOS
+        class Miscounted:
+            def output_tokens(self, source):
+                return {"x", EOS}
+
+            def decode(self, source_prefix, forced_target, vocab, final=False):
+                return DecodeResult(("x",), (vocab.one_hot("x"),) * vectors)
+
+        source = TokenSequence.from_raw("a")
+        stable = LexiconTranslator({"a": "x"})
+        with pytest.raises(EngineError, match=f"'de' returned {vectors} score vectors for 1 tokens"):
+            run_simul({"en": stable, "de": Miscounted()}, {"en": source, "de": source}, 1)
 
     def test_argument_errors(self):
         translator = LexiconTranslator(IDENTITY_LEXICON)
