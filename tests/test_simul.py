@@ -115,9 +115,14 @@ class TestScheduleReads:
         }
         assert len(schedule_reads(sources)) == 6
 
-    def test_hand_computed_fractions(self):
+    def test_partial_prefix_fraction(self):
+        # "ab" ends at character 2 of 5
         slots = schedule_reads({"en": TokenSequence.from_raw("ab cd")})
-        assert [s.fraction for s in slots] == [2 / 5, 1.0]
+        assert slots[0].fraction == 2 / 5
+
+    def test_full_prefix_fraction(self):
+        slots = schedule_reads({"en": TokenSequence.from_raw("ab cd")})
+        assert slots[-1].fraction == 1.0
 
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
