@@ -1,9 +1,9 @@
 """Multi-source simultaneous translation simulation under ASR-like lexical noise."""
 
 from .corpus import (
+    Alignment,
     TokenSequence,
     TranscriptPair,
-    WordAlignment,
     load_parallel,
     load_word_alignment,
     tokenize_13a,

@@ -214,9 +214,6 @@ def _run_system(
     n_sentences = len(next(iter(source_columns.values())))
     for i in range(n_sentences):
         sources = {lang: col[i] for lang, col in source_columns.items()}
-        if all(len(s.tokens) == 0 for s in sources.values()):
-            outputs.append("")
-            continue
         final, log = run_simul(translators, sources, la_n)
         outputs.append(" ".join(final))
         if final and sources[primary].tokens:
@@ -372,7 +369,8 @@ def _load_sweep_config(path: Path) -> SweepConfig:
 
 
 def _language_stream_seed(seed: int, lang_index: int) -> int:
-    # one noise stream per (config seed, language); kept disjoint by a large stride
+    # one noise seed per (config seed, language); apply_noise XORs in the
+    # sentence index, so some sentences of different languages share a stream
     return seed * 1_000_003 + lang_index
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -13,7 +13,7 @@ from .errors import AlignmentMismatchError, ContractError, InputError, ParseErro
 __all__ = [
     "TokenSequence",
     "TranscriptPair",
-    "WordAlignment",
+    "Alignment",
     "tokenize_13a",
     "normalize_transcript",
     "check_line_counts",
@@ -62,11 +62,8 @@ class TranscriptPair:
     hyp: TokenSequence
 
 
-@dataclass(frozen=True)
-class WordAlignment:
-    """Cross-lingual word alignment links for one sentence pair."""
-
-    links: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+# the (source, target) token index links of one sentence pair
+Alignment = frozenset[tuple[int, int]]
 
 
 # mteval-13a pads every one of these ASCII symbols with spaces; each match is
@@ -183,21 +180,21 @@ def load_transcript_pairs(
 _PHARAOH_RE = re.compile(r"^(\d+)-(\d+)$")
 
 
-def load_word_alignment(path: str | Path) -> list[WordAlignment]:
+def load_word_alignment(path: str | Path) -> list[Alignment]:
     """Parse Pharaoh-format ("i-j" pairs, one line per sentence pair) alignments."""
-    alignments: list[WordAlignment] = []
+    alignments: list[Alignment] = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         links: set[tuple[int, int]] = set()
         col = 1
-        for field_ in line.split():
-            m = _PHARAOH_RE.match(field_)
+        for pair in line.split():
+            m = _PHARAOH_RE.match(pair)
             if m is None:
                 raise ParseError(
-                    f"{path}: malformed alignment pair {field_!r} at line {lineno}, "
+                    f"{path}: malformed alignment pair {pair!r} at line {lineno}, "
                     f"column {col}"
                 )
             links.add((int(m.group(1)), int(m.group(2))))
-            col += len(field_) + 1
-        alignments.append(WordAlignment(frozenset(links)))
+            col += len(pair) + 1
+        alignments.append(frozenset(links))
     return alignments
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import TranscriptPair, WordAlignment
+from .corpus import Alignment, TranscriptPair
 from .errors import AlignmentMismatchError, ContractError
 from .metrics import (
     ChiSquareResult,
@@ -22,30 +22,10 @@ __all__ = [
 ]
 
 
-def _project_sentence(
-    src: TranscriptPair,
-    tgt: TranscriptPair,
-    alignment: WordAlignment,
-    sentence_index: int,
-) -> list[tuple[int, int, bool, bool]]:
-    """Aligned token pairs of one sentence with their correctness booleans."""
-    src_ok = token_correctness(align_edit(src.gold, src.hyp))
-    tgt_ok = token_correctness(align_edit(tgt.gold, tgt.hyp))
-    pairs = []
-    for i, j in sorted(alignment.links):
-        if i >= len(src_ok) or j >= len(tgt_ok):
-            raise AlignmentMismatchError(
-                f"sentence {sentence_index}: alignment link ({i},{j}) out of range "
-                f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
-            )
-        pairs.append((i, j, src_ok[i], tgt_ok[j]))
-    return pairs
-
-
 def build_contingency(
     src_pairs: Sequence[TranscriptPair],
     tgt_pairs: Sequence[TranscriptPair],
-    alignments: Sequence[WordAlignment],
+    alignments: Sequence[Alignment],
 ) -> Contingency2x2:
     """Cross-tabulate per-link correctness of the two ASR streams.
 
@@ -58,9 +38,16 @@ def build_contingency(
             f"alignments={len(alignments)}"
         )
     cells = [[0, 0], [0, 0]]
-    for idx, (src, tgt, alignment) in enumerate(zip(src_pairs, tgt_pairs, alignments)):
-        for _, _, src_ok, tgt_ok in _project_sentence(src, tgt, alignment, idx):
-            cells[0 if src_ok else 1][0 if tgt_ok else 1] += 1
+    for idx, (src, tgt, links) in enumerate(zip(src_pairs, tgt_pairs, alignments)):
+        src_ok = token_correctness(align_edit(src.gold, src.hyp))
+        tgt_ok = token_correctness(align_edit(tgt.gold, tgt.hyp))
+        for i, j in sorted(links):
+            if i >= len(src_ok) or j >= len(tgt_ok):
+                raise AlignmentMismatchError(
+                    f"sentence {idx}: alignment link ({i},{j}) out of range "
+                    f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
+                )
+            cells[0 if src_ok[i] else 1][0 if tgt_ok[j] else 1] += 1
     return Contingency2x2(((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])))
 
 
@@ -77,7 +64,7 @@ class IndependenceReport:
 
     @property
     def reject_independence(self) -> bool:
-        return self.chi_square.reject_at(self.alpha)
+        return self.chi_square.p_value < self.alpha
 
     def summary(self) -> str:
         decision = "reject" if self.reject_independence else "fail to reject"
@@ -99,31 +86,25 @@ class IndependenceReport:
 def analyze_independence(
     src_pairs: Sequence[TranscriptPair],
     tgt_pairs: Sequence[TranscriptPair],
-    alignments: Sequence[WordAlignment],
+    alignments: Sequence[Alignment],
     alpha: float = 0.01,
     *,
     yates: bool = False,
 ) -> IndependenceReport:
-    """Full pipeline: correctness, projection, contingency, chi-square decision."""
-    table = build_contingency(src_pairs, tgt_pairs, alignments)
-    links = 0
-    src_indices = 0
-    tgt_indices = 0
+    """Full pipeline: correctness, contingency, chi-square decision."""
     src_gold_tokens = sum(len(p.gold.tokens) for p in src_pairs)
-    for alignment in alignments:
-        links += len(alignment.links)
-        src_indices += len({i for i, _ in alignment.links})
-        tgt_indices += len({j for _, j in alignment.links})
     if src_gold_tokens == 0:
         raise ContractError("source gold transcripts are empty")
-    result = chi_square_2x2(table, yates=yates)
+    table = build_contingency(src_pairs, tgt_pairs, alignments)
+    # every link adds exactly one count to the table
+    links = table.total
     return IndependenceReport(
         aligned_link_count=links,
-        unique_src_tokens=src_indices,
-        unique_tgt_tokens=tgt_indices,
+        unique_src_tokens=sum(len({i for i, _ in a}) for a in alignments),
+        unique_tgt_tokens=sum(len({j for _, j in a}) for a in alignments),
         src_gold_tokens=src_gold_tokens,
         coverage=links / src_gold_tokens,
         table=table,
-        chi_square=result,
+        chi_square=chi_square_2x2(table, yates=yates),
         alpha=alpha,
     )

@@ -10,13 +10,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .corpus import TokenSequence, TranscriptPair, tokenize_13a
+from .corpus import TokenSequence, tokenize_13a
 from .errors import ContractError, DegenerateTableError
 from .simul import ReadEvent, SimulEventLog, WriteEvent
 
 __all__ = [
     "EditOp",
-    "EditScript",
     "WerBreakdown",
     "Contingency2x2",
     "ChiSquareResult",
@@ -59,32 +58,8 @@ class EditOp(NamedTuple):
     hyp: str | None = None
 
 
-@dataclass(frozen=True)
-class EditScript:
-    """Minimal-cost alignment of a gold token sequence to a hypothesis."""
-
-    ops: tuple[EditOp, ...]
-
-    @property
-    def cost(self) -> int:
-        return sum(op.kind != COPY for op in self.ops)
-
-    def gold_side(self) -> list[str]:
-        return [op.gold for op in self.ops if op.kind in (COPY, SUBSTITUTE, DELETE)]
-
-    def hyp_side(self) -> list[str]:
-        return [op.hyp for op in self.ops if op.kind in (COPY, SUBSTITUTE, INSERT)]
-
-    def counts(self) -> tuple[int, int, int]:
-        """(substitutions, deletions, insertions)."""
-        subs = sum(op.kind == SUBSTITUTE for op in self.ops)
-        dels = sum(op.kind == DELETE for op in self.ops)
-        inss = sum(op.kind == INSERT for op in self.ops)
-        return subs, dels, inss
-
-
-def align_edit(gold: Tokens, hyp: Tokens) -> EditScript:
-    """Unit-cost Levenshtein alignment with deterministic tie-breaking.
+def align_edit(gold: Tokens, hyp: Tokens) -> tuple[EditOp, ...]:
+    """Unit-cost Levenshtein alignment as its edit ops, with deterministic tie-breaking.
 
     When costs tie the left-to-right walk prefers Copy over Substitute over
     Delete over Insert.
@@ -144,7 +119,7 @@ def align_edit(gold: Tokens, hyp: Tokens) -> EditScript:
             ops.append(EditOp(INSERT, None, h[j]))
             j += 1
         d -= 1
-    return EditScript(tuple(ops))
+    return tuple(ops)
 
 
 @dataclass(frozen=True)
@@ -167,20 +142,17 @@ class WerBreakdown:
 
 
 def wer(gold: Tokens, hyp: Tokens) -> WerBreakdown:
-    script = align_edit(gold, hyp)
-    subs, dels, inss = script.counts()
-    return WerBreakdown(subs, dels, inss, len(_tokens(gold)))
+    kinds = [op.kind for op in align_edit(gold, hyp)]
+    return WerBreakdown(
+        kinds.count(SUBSTITUTE), kinds.count(DELETE), kinds.count(INSERT), len(_tokens(gold))
+    )
 
 
-def corpus_wer(pairs: Iterable[TranscriptPair | tuple[Tokens, Tokens]]) -> float:
+def corpus_wer(pairs: Iterable[tuple[Tokens, Tokens]]) -> float:
     """Corpus WER: total errors over total gold words (gold-word-weighted mean)."""
     errors = 0
     gold_words = 0
-    for pair in pairs:
-        if isinstance(pair, TranscriptPair):
-            g, h = pair.gold, pair.hyp
-        else:
-            g, h = pair
+    for g, h in pairs:
         breakdown = wer(g, h)
         errors += breakdown.errors
         gold_words += breakdown.gold_words
@@ -189,9 +161,9 @@ def corpus_wer(pairs: Iterable[TranscriptPair | tuple[Tokens, Tokens]]) -> float
     return errors / gold_words
 
 
-def token_correctness(script: EditScript) -> list[bool]:
+def token_correctness(ops: Iterable[EditOp]) -> list[bool]:
     """Per-gold-token correctness: True iff the token is aligned by Copy."""
-    return [op.kind == COPY for op in script.ops if op.kind != INSERT]
+    return [op.kind == COPY for op in ops if op.kind != INSERT]
 
 
 @dataclass(frozen=True)
@@ -219,19 +191,11 @@ class Contingency2x2:
             self.cells[0][1] + self.cells[1][1],
         )
 
-    def transpose(self) -> "Contingency2x2":
-        c = self.cells
-        return Contingency2x2(((c[0][0], c[1][0]), (c[0][1], c[1][1])))
-
 
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
     p_value: float
-    df: int = 1
-
-    def reject_at(self, alpha: float) -> bool:
-        return self.p_value < alpha
 
 
 def chi_square_2x2(table: Contingency2x2, *, yates: bool = False) -> ChiSquareResult:

@@ -87,7 +87,7 @@ def train_noise_model(pairs: Iterable[TranscriptPair]) -> LexicalNoiseModel:
     ins_counts: dict[str, int] = {}
     for pair in pairs:
         gold_tokens += len(pair.gold.tokens)
-        for op in align_edit(pair.gold, pair.hyp).ops:
+        for op in align_edit(pair.gold, pair.hyp):
             if op.kind == DELETE:
                 deletions += 1
             elif op.kind == SUBSTITUTE:
@@ -123,8 +123,6 @@ def train_noise_model(pairs: Iterable[TranscriptPair]) -> LexicalNoiseModel:
 
 def expected_wer(model: LexicalNoiseModel) -> float:
     """p_I/(1-p_I) + p_D + (1-p_D) p_S for the model's effective probabilities."""
-    if model.p_insert >= 1.0:
-        raise ContractError("p_insert must be below 1")
     return (
         model.p_insert / (1.0 - model.p_insert)
         + model.p_delete
@@ -306,11 +304,14 @@ def load_model(path: str | Path) -> LexicalNoiseModel:
     missing = {"p_insert", "p_delete", "p_substitute", "scale_c"} - set(header)
     if missing:
         raise ModelFormatError(f"{path}: missing header fields {sorted(missing)}")
-    return LexicalNoiseModel(
-        p_insert=header["p_insert"],
-        p_delete=header["p_delete"],
-        p_substitute=header["p_substitute"],
-        substitution_table={w: tuple(rows) for w, rows in sub_rows.items()},
-        insertion_table=tuple(ins_rows),
-        scale_c=header["scale_c"],
-    )
+    try:
+        return LexicalNoiseModel(
+            p_insert=header["p_insert"],
+            p_delete=header["p_delete"],
+            p_substitute=header["p_substitute"],
+            substitution_table={w: tuple(rows) for w, rows in sub_rows.items()},
+            insertion_table=tuple(ins_rows),
+            scale_c=header["scale_c"],
+        )
+    except ContractError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

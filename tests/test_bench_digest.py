@@ -1,6 +1,6 @@
-"""The benchmark's sweep fixture still produces the bytes recorded for it.
+"""The benchmark's fixtures still produce the bytes recorded for them.
 
-Generates the bench ``sweep`` input for seed 0 with ``bench/workloads.py``,
+Generates a bench workload's input for seed 0 with ``bench/workloads.py``,
 runs its commands through ``multisimul.cli.main`` in this process and checks
 ``bench/run.py``'s output digest against ``bench/digests.json``.
 """
@@ -26,3 +26,22 @@ def test_sweep_seed0_digest(tmp_path, monkeypatch, capsys):
         stdouts.append(capsys.readouterr().out)
     recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
     assert run.output_digest(tmp_path, wl, stdouts) == recorded["sweep"]["0"]
+
+
+def test_analysis_seed0_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.make("analysis", tmp_path, 0, BENCH.parent)
+    monkeypatch.chdir(tmp_path)
+    stdouts = []
+    for argv in wl.commands:
+        # an undigested command writes no output file and its stdout is not
+        # hashed, so it need not run
+        if argv[0] in run.UNDIGESTED:
+            stdouts.append("")
+            continue
+        assert main(argv) == 0
+        stdouts.append(capsys.readouterr().out)
+    recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+    assert run.output_digest(tmp_path, wl, stdouts) == recorded["analysis"]["0"]

@@ -675,6 +675,32 @@ def _sweep_error_free(path):
     ]
 
 
+def _bad_model(path, prefix, line):
+    """Rewrite noise_en.tsv with ``line`` in place of the line starting with ``prefix``."""
+    model = path / "noise_en.tsv"
+    lines = model.read_text(encoding="utf-8").splitlines()
+    _write(model, [line if old.startswith(prefix) else old for old in lines])
+    return model
+
+
+def _noise_apply_bad_model(prefix, line):
+    def build(path):
+        return [
+            "noise-apply", "--model", str(_bad_model(path, prefix, line)), "--seed", "1",
+            "--in", str(path / "en.txt"), "--out", str(path / "noisy.txt"),
+        ]
+
+    return build
+
+
+def _sweep_bad_model(path):
+    _bad_model(path, "p_delete\t", "p_delete\t1.5")
+    return [
+        "sweep", "--config", str(_sweep_config(path, "0.1:0.1", la_grid="2", seeds="1")),
+        "--out-dir", str(path / "out"),
+    ]
+
+
 def _independence_alpha(alpha):
     # the files do not exist: the value is rejected before any is read
     def build(path):
@@ -714,6 +740,31 @@ BAD_INPUTS = [
         ],
         3,
         "--seed needs a value >= 0, got -1",
+    ),
+    # values outside a model's ranges are an input error in the model file
+    (
+        "noise-apply-model-out-of-range",
+        _noise_apply_bad_model("p_delete\t", "p_delete\t1.5"),
+        2,
+        "noise_en.tsv: p_delete=1.5 outside [0, 1]",
+    ),
+    (
+        "noise-apply-model-nan",
+        _noise_apply_bad_model("p_insert\t", "p_insert\tnan"),
+        2,
+        "noise_en.tsv: p_insert=nan outside [0, 1)",
+    ),
+    (
+        "noise-apply-model-distribution-sum",
+        _noise_apply_bad_model("e01\t", "e01\tqe01\t0.5"),
+        2,
+        "noise_en.tsv: substitution[e01] distribution does not sum to 1",
+    ),
+    (
+        "sweep-model-out-of-range",
+        _sweep_bad_model,
+        2,
+        "noise_en.tsv: p_delete=1.5 outside [0, 1]",
     ),
     ("simulate-refs-short", _simulate_short_refs, 2, "ref.txt has 3"),
     (

@@ -152,9 +152,9 @@ class TestWordAlignment:
     def test_parse(self, tmp_path):
         (tmp_path / "al.txt").write_text("0-0 1-2\n\n2-1\n", encoding="utf-8")
         alignments = load_word_alignment(tmp_path / "al.txt")
-        assert alignments[0].links == {(0, 0), (1, 2)}
-        assert alignments[1].links == frozenset()
-        assert alignments[2].links == {(2, 1)}
+        assert alignments[0] == {(0, 0), (1, 2)}
+        assert alignments[1] == frozenset()
+        assert alignments[2] == {(2, 1)}
 
     def test_malformed_pair_reports_position(self, tmp_path):
         (tmp_path / "al.txt").write_text("0-0\n1-1 a-b\n", encoding="utf-8")

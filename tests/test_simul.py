@@ -313,8 +313,14 @@ class TestRunSimul:
         translator = LexiconTranslator(IDENTITY_LEXICON)
         with pytest.raises(ContractError):
             run_simul({"en": translator}, {"de": TokenSequence.from_raw("a")}, 2)
-        with pytest.raises(ContractError):
-            run_simul({"en": translator}, {"en": TokenSequence.from_raw("")}, 2)
+
+    @pytest.mark.parametrize("langs", [["en"], ["en", "de"]])
+    def test_all_sources_empty(self, langs):
+        translators = {lang: LexiconTranslator(IDENTITY_LEXICON) for lang in langs}
+        sources = {lang: TokenSequence.from_raw("") for lang in langs}
+        final, log = run_simul(translators, sources, 2)
+        assert final == []
+        assert log.events == [FlushEvent()]
 
 
 SOURCE_WORDS = ["a", "bb", "c", "ddd", "e"]
