@@ -21,7 +21,7 @@ from .metrics import (
     token_correctness,
     wer,
 )
-from .mock_mt import LexiconTranslator, ReorderingTranslator
+from .mock_mt import LexiconTranslator
 from .noise import (
     LexicalNoiseModel,
     apply_noise,

@@ -308,6 +308,8 @@ def _load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"{path}: languages must be distinct: {','.join(languages)}")
     if MULTI in languages:
         raise ConfigError(f"{path}: {MULTI!r} names the multi-source system, not a language")
+    if len(languages) < 2:
+        raise ConfigError(f"{path}: the {MULTI!r} system needs at least two languages")
     known = {"version", "languages", "primary", "reference", "wer_grid", "la_grid", "seeds"}
     known |= {f"{p}.{lang}" for p in ("source", "lexicon", "noise_model") for lang in languages}
     for key, lineno in key_lines.items():

@@ -11,7 +11,7 @@ from .corpus import _read_lines
 from .errors import InputError
 from .simul import EOS, DecodeResult, Vocabulary
 
-__all__ = ["LexiconTranslator", "ReorderingTranslator", "load_lexicon"]
+__all__ = ["LexiconTranslator", "load_lexicon"]
 
 KNOWN_MARGIN = 1.0
 UNKNOWN_MARGIN = 0.5
@@ -51,10 +51,9 @@ class LexiconTranslator:
 
     def __init__(self, lexicon: Mapping[str, str]):
         self.lexicon = dict(lexicon)
-        # hypothesis of the last source prefix under (final, vocab); the
-        # scores end with the EOS vector
+        # hypothesis of the last source prefix under vocab; the scores end
+        # with the EOS vector
         self._source: tuple[str, ...] = ()
-        self._final = False
         self._vocab: Vocabulary | None = None
         self._tokens: tuple[str, ...] = ()
         self._scores: tuple[np.ndarray, ...] = ()
@@ -65,33 +64,28 @@ class LexiconTranslator:
         self._ptr = 0
 
     def _translate(self, token: str) -> tuple[str, float]:
+        """Hypothesis token and margin for one source token."""
         if token in self.lexicon:
             return self.lexicon[token], KNOWN_MARGIN
         return token, UNKNOWN_MARGIN
-
-    def _entry(self, token: str, final: bool) -> tuple[str, float]:
-        """Hypothesis token and margin for one source token."""
-        return self._translate(token)
 
     def output_tokens(self, source: tuple[str, ...]) -> set[str]:
         tokens = {self._translate(tok)[0] for tok in source}
         tokens.add(EOS)
         return tokens
 
-    def _update_hypothesis(
-        self, source: tuple[str, ...], vocab: Vocabulary, final: bool
-    ) -> None:
-        unchanged = vocab is self._vocab and final == self._final
+    def _update_hypothesis(self, source: tuple[str, ...], vocab: Vocabulary) -> None:
+        same_vocab = vocab is self._vocab
         known = len(self._source)
-        one_hots = self._one_hots if vocab is self._vocab else {}
-        if unchanged and source[:known] == self._source:
+        one_hots = self._one_hots if same_vocab else {}
+        if same_vocab and source[:known] == self._source:
             if len(source) == known:
                 return
             tokens, scores = self._tokens, self._scores
         else:
             known, tokens = 0, ()
             scores = (_one_hot(one_hots, vocab, EOS, KNOWN_MARGIN),)
-        entries = [self._entry(tok, final) for tok in source[known:]]
+        entries = [self._translate(tok) for tok in source[known:]]
         scores = (
             scores[:-1]
             + tuple(_one_hot(one_hots, vocab, tok, margin) for tok, margin in entries)
@@ -101,7 +95,7 @@ class LexiconTranslator:
         # and leaves the remembered query as it was
         self._tokens = tokens + tuple(tok for tok, _ in entries)
         self._scores, self._one_hots = scores, one_hots
-        self._source, self._vocab, self._final = source, vocab, final
+        self._source, self._vocab = source, vocab
         # a longer hypothesis may hold a forced token that was missing before
         self._forced, self._ptr = [], 0
 
@@ -128,7 +122,8 @@ class LexiconTranslator:
         vocab: Vocabulary,
         final: bool = False,
     ) -> DecodeResult:
-        self._update_hypothesis(source_prefix, vocab, final)
+        # the word-for-word answer is the same whether or not the input ended
+        self._update_hypothesis(source_prefix, vocab)
         ptr = self._consume_forced(forced_target)
         return DecodeResult(self._tokens[ptr:], self._scores[ptr:])
 
@@ -146,29 +141,3 @@ def _one_hot(
     if vector is None:
         vector = cache[token, margin] = _read_only(vocab.one_hot(token, margin))
     return vector
-
-
-class ReorderingTranslator(LexiconTranslator):
-    """Lexicon translator that guesses words of a deferred class until input ends.
-
-    Source words in ``deferred`` translate to a provisional guess on partial
-    input and to their real lexicon entry once end-of-input is signaled, so
-    prefix hypotheses are unstable by construction.
-    """
-
-    def __init__(self, lexicon: Mapping[str, str], deferred: set[str]):
-        super().__init__(lexicon)
-        self.deferred = set(deferred)
-
-    def _guess(self, token: str) -> str:
-        return f"<{token}?>"
-
-    def _entry(self, token: str, final: bool) -> tuple[str, float]:
-        if token in self.deferred and not final:
-            return self._guess(token), UNKNOWN_MARGIN
-        return self._translate(token)
-
-    def output_tokens(self, source: tuple[str, ...]) -> set[str]:
-        tokens = super().output_tokens(source)
-        tokens |= {self._guess(tok) for tok in source if tok in self.deferred}
-        return tokens

@@ -69,6 +69,9 @@ class LexicalNoiseModel:
         for word, dist in self.substitution_table.items():
             _check_distribution(dist, f"substitution[{word}]")
         _check_distribution(self.insertion_table, "insertion")
+        # expected_wer counts insertions, so there must be a word to insert
+        if self.p_insert > 0.0 and not self.insertion_table:
+            raise ContractError(f"p_insert={self.p_insert} needs at least one insertion row")
 
 
 def train_noise_model(pairs: Iterable[TranscriptPair]) -> LexicalNoiseModel:
@@ -229,7 +232,7 @@ def apply_noise(
     out: list[str] = []
 
     def insertion_run() -> None:
-        if model.p_insert <= 0.0 or not model.insertion_table:
+        if model.p_insert <= 0.0:
             return
         while rng.random() < model.p_insert:
             out.append(_draw(rng, model.insertion_table))

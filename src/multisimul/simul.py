@@ -22,7 +22,6 @@ __all__ = [
     "SimulEventLog",
     "LocalAgreementState",
     "la_step",
-    "ReadSlot",
     "schedule_reads",
     "late_average",
     "run_simul",
@@ -125,17 +124,6 @@ class SimulEventLog:
     def append(self, event: Event) -> None:
         self.events.append(event)
 
-    def to_tsv(self) -> str:
-        rows = []
-        for i, event in enumerate(self.events):
-            if isinstance(event, ReadEvent):
-                rows.append(f"{i}\tread\t{event.language}\t{event.token}")
-            elif isinstance(event, WriteEvent):
-                rows.append(f"{i}\twrite\t\t{event.token}")
-            else:
-                rows.append(f"{i}\tflush\t\t")
-        return "".join(row + "\n" for row in rows)
-
 
 @dataclass
 class LocalAgreementState:
@@ -177,19 +165,12 @@ def la_step(state: LocalAgreementState, new_hypothesis: Sequence[str]) -> list[s
     return delta
 
 
-@dataclass(frozen=True)
-class ReadSlot:
-    language: str
-    token_index: int
-    fraction: float
-
-
-def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[ReadSlot]:
+def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[tuple[str, int]]:
     """Interleave per-language reads sorted by character-length fraction.
 
     A token's fraction is where it ends in its raw text over the text's
-    length. Each slot advances exactly one language by one token. Ties break
-    by the mapping order of ``sources``, then token index.
+    length. Each (language, token index) slot advances one language by one
+    token. Ties break by the mapping order of ``sources``, then token index.
     """
     if not sources:
         raise ContractError("at least one source language is required")
@@ -202,7 +183,7 @@ def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[ReadSlot]:
             end = raw.index(tok, end) + len(tok)
             slots.append((end / len(raw), rank, i, lang))
     slots.sort()
-    return [ReadSlot(lang, i, fraction) for fraction, _, i, lang in slots]
+    return [(lang, i) for _, _, i, lang in slots]
 
 
 def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
@@ -224,26 +205,18 @@ def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _build_vocab(
+def _vocab_and_budget(
     translators: Mapping[str, IncrementalTranslator],
     sources: Mapping[str, TokenSequence],
-) -> Vocabulary:
+) -> tuple[Vocabulary, int]:
+    """The run's shared vocabulary and its cap on new tokens per hypothesis."""
+    if set(translators) != set(sources):
+        raise ContractError("translators and sources must cover the same languages")
     tokens: set[str] = set()
     for lang, translator in translators.items():
         tokens |= translator.output_tokens(sources[lang].tokens)
-    return Vocabulary(tokens)
-
-
-class _DeterminismGuard:
-    """Detects a translator answering the same query differently within a run."""
-
-    def __init__(self) -> None:
-        self._seen: dict[tuple, tuple] = {}
-
-    def check(self, key: tuple, result: DecodeResult) -> None:
-        previous = self._seen.setdefault(key, result.tokens)
-        if previous != result.tokens:
-            raise EngineError(f"translator determinism violation for query {key[:3]}")
+    max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
+    return Vocabulary(tokens), max_new_tokens
 
 
 def _joint_hypothesis(
@@ -252,11 +225,13 @@ def _joint_hypothesis(
     committed: Sequence[str],
     vocab: Vocabulary,
     final: bool,
-    guard: _DeterminismGuard,
+    answers: dict[tuple, tuple[str, ...]],
     max_new_tokens: int,
 ) -> list[str]:
     """One greedy hypothesis from all members via stepwise late averaging.
 
+    ``answers`` holds the run's first answer to each query: a translator that
+    answers the same query differently within a run is an ``EngineError``.
     Each member's last answer is read with a cursor. After a joint token, a
     member whose own next token it was moves its cursor on (by greedy
     consistency that is what a new query would answer); the others are
@@ -273,7 +248,9 @@ def _joint_hypothesis(
     def query(m: int, target: Sequence[str]) -> DecodeResult:
         lang, decode, prefix, known = members[m]
         result = decode(prefix, target, vocab, final)
-        guard.check((lang, known, tuple(target), final), result)
+        key = (lang, known, tuple(target), final)
+        if answers.setdefault(key, result.tokens) != result.tokens:
+            raise EngineError(f"translator determinism violation for query {key[:3]}")
         return result
 
     if len(members) == 1:
@@ -322,26 +299,21 @@ def run_simul(
     append-only: it is the log's Write tokens, in order. Translators are
     given each source prefix as its token tuple.
     """
-    if set(translators) != set(sources):
-        raise ContractError("translators and sources must cover the same languages")
-
-    vocab = _build_vocab(translators, sources)
+    vocab, max_new_tokens = _vocab_and_budget(translators, sources)
     schedule = schedule_reads(sources)
-
-    max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     state = LocalAgreementState(n)
     log = SimulEventLog()
-    guard = _DeterminismGuard()
+    answers: dict[tuple, tuple[str, ...]] = {}
     prefixes: dict[str, tuple[str, ...]] = {lang: () for lang in sources}
     last_hypothesis: list[str] = []
 
-    for k, slot in enumerate(schedule):
-        tokens = sources[slot.language].tokens
-        prefixes[slot.language] = tokens[: slot.token_index + 1]
-        log.append(ReadEvent(slot.language, tokens[slot.token_index]))
+    for k, (lang, i) in enumerate(schedule):
+        tokens = sources[lang].tokens
+        prefixes[lang] = tokens[: i + 1]
+        log.append(ReadEvent(lang, tokens[i]))
         last_hypothesis = _joint_hypothesis(
             translators, prefixes, state.committed, vocab, k == len(schedule) - 1,
-            guard, max_new_tokens,
+            answers, max_new_tokens,
         )
         for token in la_step(state, last_hypothesis):
             log.append(WriteEvent(token))
@@ -358,11 +330,8 @@ def decode_full(
     sources: Mapping[str, TokenSequence],
 ) -> list[str]:
     """Offline greedy decoding of complete sources (late-averaged when multi)."""
-    if set(translators) != set(sources):
-        raise ContractError("translators and sources must cover the same languages")
-    vocab = _build_vocab(translators, sources)
-    max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
+    vocab, max_new_tokens = _vocab_and_budget(translators, sources)
     return _joint_hypothesis(
         translators, {lang: s.tokens for lang, s in sources.items()}, [], vocab, True,
-        _DeterminismGuard(), max_new_tokens,
+        {}, max_new_tokens,
     )

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small realistic scoring corpus and toy noise corpora."""
+"""Shared fixtures: a small realistic scoring corpus, toy noise corpora and a
+mock translator whose prefix hypotheses are unstable."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from multisimul.corpus import TokenSequence, TranscriptPair
+from multisimul.mock_mt import LexiconTranslator
 from multisimul.noise import train_noise_model
 
 # 20 hypothesis/reference pairs with punctuation, numbers and varied lengths.
@@ -132,6 +134,31 @@ def corrupt_for_training(
             hyp = [sent.tokens[0]]
         pairs.append(TranscriptPair(sent, TokenSequence.from_tokens(hyp)))
     return pairs
+
+
+class ReorderingTranslator:
+    """Lexicon translator that guesses words of a deferred class until input ends.
+
+    On a query that is not final, each deferred source word ``w`` is read as
+    ``<w?>``, which the lexicon mock copies as an unknown word; once
+    end-of-input is signaled the real lexicon entry is used. So prefix
+    hypotheses are unstable by construction.
+    """
+
+    def __init__(self, lexicon, deferred):
+        self.inner = LexiconTranslator(lexicon)
+        self.deferred = set(deferred)
+
+    def _guess(self, source):
+        return tuple(f"<{tok}?>" if tok in self.deferred else tok for tok in source)
+
+    def output_tokens(self, source):
+        return self.inner.output_tokens(source) | self.inner.output_tokens(self._guess(source))
+
+    def decode(self, source_prefix, forced_target, vocab, final=False):
+        if not final:
+            source_prefix = self._guess(source_prefix)
+        return self.inner.decode(source_prefix, forced_target, vocab, final)
 
 
 @pytest.fixture(scope="session")

@@ -526,7 +526,7 @@ class TestSweep:
 
     def test_config_errors(self, workspace, capsys):
         bad = workspace / "bad.cfg"
-        bad.write_text("version=1\nlanguages=en\n", encoding="utf-8")
+        bad.write_text("version=1\nlanguages=en,de\n", encoding="utf-8")
         assert main(["sweep", "--config", str(bad), "--out-dir", str(workspace / "out")]) == 3
         assert "missing required key 'wer_grid'" in capsys.readouterr().err
 
@@ -539,6 +539,8 @@ class TestSweep:
             ("languages=en,en", "languages must be distinct: en,en"),
             # would overwrite the multi system's rows
             ("languages=en,multi", "'multi' names the multi-source system"),
+            # the multi system would be the one language's system run again
+            ("languages=en", "the 'multi' system needs at least two languages"),
             ("primary=fr", "primary 'fr' not among languages"),
             ("wer_grid=0.1", "wer cell '0.1' needs 2 colon-separated values"),
             ("wer_grid=", "wer cell '' needs 2 colon-separated values"),
@@ -676,10 +678,12 @@ def _sweep_error_free(path):
 
 
 def _bad_model(path, prefix, line):
-    """Rewrite noise_en.tsv with ``line`` in place of the line starting with ``prefix``."""
+    """Rewrite noise_en.tsv with ``line`` in place of each line starting with
+    ``prefix``, or without those lines when ``line`` is None."""
     model = path / "noise_en.tsv"
     lines = model.read_text(encoding="utf-8").splitlines()
-    _write(model, [line if old.startswith(prefix) else old for old in lines])
+    lines = [line if old.startswith(prefix) else old for old in lines]
+    _write(model, [kept for kept in lines if kept is not None])
     return model
 
 
@@ -693,12 +697,15 @@ def _noise_apply_bad_model(prefix, line):
     return build
 
 
-def _sweep_bad_model(path):
-    _bad_model(path, "p_delete\t", "p_delete\t1.5")
-    return [
-        "sweep", "--config", str(_sweep_config(path, "0.1:0.1", la_grid="2", seeds="1")),
-        "--out-dir", str(path / "out"),
-    ]
+def _sweep_bad_model(prefix, line):
+    def build(path):
+        _bad_model(path, prefix, line)
+        return [
+            "sweep", "--config", str(_sweep_config(path, "0.1:0.1", la_grid="2", seeds="1")),
+            "--out-dir", str(path / "out"),
+        ]
+
+    return build
 
 
 def _independence_alpha(alpha):
@@ -762,9 +769,23 @@ BAD_INPUTS = [
     ),
     (
         "sweep-model-out-of-range",
-        _sweep_bad_model,
+        _sweep_bad_model("p_delete\t", "p_delete\t1.5"),
         2,
         "noise_en.tsv: p_delete=1.5 outside [0, 1]",
+    ),
+    # insertions drawn from no rows never happen, though the expected WER
+    # counts them; the insertion rows are the lines with an empty first field
+    (
+        "noise-apply-model-insertion-without-rows",
+        _noise_apply_bad_model("\t", None),
+        2,
+        "noise_en.tsv: p_insert=0.02 needs at least one insertion row",
+    ),
+    (
+        "sweep-model-insertion-without-rows",
+        _sweep_bad_model("\t", None),
+        2,
+        "noise_en.tsv: p_insert=0.02 needs at least one insertion row",
     ),
     ("simulate-refs-short", _simulate_short_refs, 2, "ref.txt has 3"),
     (

@@ -9,10 +9,11 @@ from multisimul.mock_mt import (
     KNOWN_MARGIN,
     UNKNOWN_MARGIN,
     LexiconTranslator,
-    ReorderingTranslator,
     load_lexicon,
 )
 from multisimul.simul import EOS, Vocabulary, decode_full, late_average, run_simul
+
+from conftest import ReorderingTranslator
 
 
 def _vocab_for(translator, source):

@@ -27,6 +27,9 @@ def _pairs(raw_pairs):
 
 
 def _model(p_i=0.0, p_d=0.0, p_s=0.0, subs=None, ins=()):
+    # a model that inserts needs at least one word to insert
+    if p_i > 0 and not ins:
+        ins = (("i", 1.0),)
     return LexicalNoiseModel(
         p_insert=p_i,
         p_delete=p_d,
