@@ -77,6 +77,16 @@ _13A_SYMBOLS = str.maketrans(
 )
 
 
+# the rules for a period or comma after or before a non-digit, and for a dash
+# after a digit; callable replacements, because Python 3.11 expands a template
+# replacement in Python code at every match
+_13A_NONDIGIT_PUNCT = re.compile(r"([^0-9])([\.,])")
+_13A_PUNCT_NONDIGIT = re.compile(r"([\.,])([^0-9])")
+# mteval-13a's ([0-9])(-) rule: a dash is never a digit, so no two matches
+# overlap and a lookbehind splits at the same places
+_13A_DIGIT_DASH = re.compile(r"(?<=[0-9])-")
+
+
 def tokenize_13a(raw: str) -> tuple[str, ...]:
     """Tokenize with the mteval-13a scheme used by sacre-style scorers.
 
@@ -93,9 +103,11 @@ def tokenize_13a(raw: str) -> tuple[str, ...]:
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} "
     norm = norm.translate(_13A_SYMBOLS)
-    norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
-    norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
-    norm = re.sub(r"([0-9])(-)", r"\1 \2 ", norm)
+    if "." in norm or "," in norm:
+        norm = _13A_NONDIGIT_PUNCT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
+        norm = _13A_PUNCT_NONDIGIT.sub(lambda m: f" {m[1]} {m[2]}", norm)
+    if "-" in norm:
+        norm = _13A_DIGIT_DASH.sub(" - ", norm)
     return tuple(norm.split())
 
 
@@ -177,9 +189,6 @@ def load_transcript_pairs(
     ]
 
 
-_PHARAOH_RE = re.compile(r"^(\d+)-(\d+)$")
-
-
 def load_word_alignment(path: str | Path) -> list[Alignment]:
     """Parse Pharaoh-format ("i-j" pairs, one line per sentence pair) alignments."""
     alignments: list[Alignment] = []
@@ -187,13 +196,15 @@ def load_word_alignment(path: str | Path) -> list[Alignment]:
         links: set[tuple[int, int]] = set()
         col = 1
         for pair in line.split():
-            m = _PHARAOH_RE.match(pair)
-            if m is None:
+            # without a dash, j is empty; isdecimal is Unicode category Nd,
+            # the digits that int() reads
+            i, _, j = pair.partition("-")
+            if not (i.isdecimal() and j.isdecimal()):
                 raise ParseError(
                     f"{path}: malformed alignment pair {pair!r} at line {lineno}, "
                     f"column {col}"
                 )
-            links.add((int(m.group(1)), int(m.group(2))))
+            links.add((int(i), int(j)))
             col += len(pair) + 1
         alignments.append(frozenset(links))
     return alignments

@@ -607,6 +607,12 @@ def paired_bootstrap(
 
     stats_a, stats_b = _stats_matrices([sys_a, sys_b], refs, metric)
     score = _METRICS[metric].score
+    # the resample sums are matrix products in float64, because numpy runs
+    # an int64 one without BLAS. They are exact: every partial sum is an
+    # integer of at most n times the largest statistic, and float64 holds
+    # every integer below 2**53 (9e15; 2000 segments would need statistics
+    # of 4.5e12 to reach it), so the products convert back to the same ints
+    floats_a, floats_b = stats_a.astype(np.float64), stats_b.astype(np.float64)
     rng = np.random.default_rng(seed)
     block = max(1, _BOOTSTRAP_BLOCK_DRAWS // n)
     wins_a = wins_b = ties = 0
@@ -615,10 +621,12 @@ def paired_bootstrap(
         idx = rng.integers(0, n, size=(rows, n))
         idx += np.arange(0, rows * n, n)[:, None]
         # counts[r, i]: how often resample r drew segment i
-        counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
-        for sums_a, sums_b in zip((counts @ stats_a).tolist(), (counts @ stats_b).tolist()):
-            score_a = score(sums_a)
-            score_b = score(sums_b)
+        counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n).astype(np.float64)
+        sums_a = (counts @ floats_a).astype(np.int64).tolist()
+        sums_b = (counts @ floats_b).astype(np.int64).tolist()
+        for row_a, row_b in zip(sums_a, sums_b):
+            score_a = score(row_a)
+            score_b = score(row_b)
             if score_a > score_b:
                 wins_a += 1
             elif score_b > score_a:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +38,10 @@ def _as_distribution(counts: Mapping[str, int]) -> Distribution:
 
 
 def _check_distribution(dist: Distribution, what: str) -> None:
+    # the sampler bisects running sums of the rows, which must never decrease
+    for word, p in dist:
+        if not 0.0 <= p <= 1.0:
+            raise ContractError(f"{what} row {word!r} has probability {p} outside [0, 1]")
     if dist and abs(sum(p for _, p in dist) - 1.0) > 1e-9:
         raise ContractError(f"{what} distribution does not sum to 1")
 
@@ -198,19 +204,76 @@ def _max_attainable(model: LexicalNoiseModel) -> float:
     return _linearized_wer(model, c_max)
 
 
-def _draw(rng: np.random.Generator, dist: Distribution) -> str:
-    r = rng.random()
-    acc = 0.0
-    for word, p in dist:
-        acc += p
-        if r < acc:
-            return word
-    return dist[-1][0]
+# a distribution's words and cumulative probabilities, the last one raised to
+# inf: a double past the rounded total falls to the last row
+_Cumulative = tuple[tuple[str, ...], list[float]]
+
+
+def _cumulative(dist: Distribution) -> _Cumulative:
+    # accumulate adds in row order, so each bound is the float a running sum
+    # over the rows reaches
+    bounds = list(accumulate(p for _, p in dist))
+    bounds[-1] = math.inf
+    return tuple(word for word, _ in dist), bounds
+
+
+def _draw(r: float, table: _Cumulative) -> str:
+    """The first row whose running sum exceeds ``r``."""
+    words, bounds = table
+    return words[bisect_right(bounds, r)]
 
 
 def _sentence_rng(seed: int, sentence_index: int) -> np.random.Generator:
     # stream splitting: PCG64 seeded with seed XOR sentence index
     return np.random.default_rng(int(seed) ^ int(sentence_index))
+
+
+def _uniforms(rng: np.random.Generator, block: int) -> Iterator[float]:
+    # rng.random(k) yields the same doubles as k calls of rng.random(); the
+    # generator is the sentence's own, so doubles drawn and never read change
+    # no other sentence
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _noise_sentence(
+    model: LexicalNoiseModel,
+    sentence: TokenSequence | Sequence[str],
+    rng: np.random.Generator,
+    tables: dict[str | None, _Cumulative],
+) -> TokenSequence:
+    """The noised sentence; ``tables`` caches cumulative tables by gold word,
+    with the insertion table under None."""
+    tokens = sentence.tokens if isinstance(sentence, TokenSequence) else sentence
+    uniform = _uniforms(rng, 3 * len(tokens) + 8).__next__
+    p_insert, p_delete, p_substitute = model.p_insert, model.p_delete, model.p_substitute
+    substitutions = model.substitution_table
+    out: list[str] = []
+
+    def table(key: str | None, dist: Distribution) -> _Cumulative:
+        found = tables.get(key)
+        if found is None:
+            found = tables[key] = _cumulative(dist)
+        return found
+
+    def insertion_run() -> None:
+        if p_insert <= 0.0:
+            return
+        while uniform() < p_insert:
+            out.append(_draw(uniform(), table(None, model.insertion_table)))
+
+    insertion_run()
+    for token in tokens:
+        if uniform() < p_delete:
+            insertion_run()
+            continue
+        dist = substitutions.get(token)
+        if uniform() < p_substitute and dist:
+            out.append(_draw(uniform(), table(token, dist)))
+        else:
+            out.append(token)
+        insertion_run()
+    return TokenSequence.from_tokens(out)
 
 
 def apply_noise(
@@ -224,31 +287,10 @@ def apply_noise(
     Per gold token in order: delete with p_delete, else substitute with
     p_substitute; an insertion run (geometric in p_insert) follows every
     position including the sentence start. Words absent from the substitution
-    table are kept.
+    table are kept. Every decision and every table draw reads the next double
+    of the sentence's one stream.
     """
-    tokens = list(sentence.tokens) if isinstance(sentence, TokenSequence) else list(sentence)
-    rng = _sentence_rng(seed, sentence_index)
-
-    out: list[str] = []
-
-    def insertion_run() -> None:
-        if model.p_insert <= 0.0:
-            return
-        while rng.random() < model.p_insert:
-            out.append(_draw(rng, model.insertion_table))
-
-    insertion_run()
-    for token in tokens:
-        if rng.random() < model.p_delete:
-            insertion_run()
-            continue
-        dist = model.substitution_table.get(token)
-        if rng.random() < model.p_substitute and dist:
-            out.append(_draw(rng, dist))
-        else:
-            out.append(token)
-        insertion_run()
-    return TokenSequence.from_tokens(out)
+    return _noise_sentence(model, sentence, _sentence_rng(seed, sentence_index), {})
 
 
 def apply_noise_corpus(
@@ -256,7 +298,13 @@ def apply_noise_corpus(
     sentences: Sequence[TokenSequence | Sequence[str]],
     seed: int,
 ) -> list[TokenSequence]:
-    return [apply_noise(model, sent, seed, i) for i, sent in enumerate(sentences)]
+    """``apply_noise`` of each sentence under its corpus index; the
+    cumulative tables are built once per call, for the rows drawn from."""
+    tables: dict[str | None, _Cumulative] = {}
+    return [
+        _noise_sentence(model, sent, _sentence_rng(seed, i), tables)
+        for i, sent in enumerate(sentences)
+    ]
 
 
 def save_model(model: LexicalNoiseModel, path: str | Path) -> None:

@@ -123,6 +123,59 @@ def reference_token_offsets(raw: str) -> tuple[str, tuple[str, ...], tuple[int, 
     return raw, tuple(tokens), tuple(offsets)
 
 
+def reference_alignment_line(line: str) -> frozenset[tuple[int, int]] | tuple[str, int]:
+    """The links of one Pharaoh-format line, parsed by regex, or its first
+    malformed pair and that pair's column (counting one separator per pair)."""
+    links = set()
+    col = 1
+    for pair in line.split():
+        match = re.match(r"^(\d+)-(\d+)$", pair)
+        if match is None:
+            return pair, col
+        links.add((int(match[1]), int(match[2])))
+        col += len(pair) + 1
+    return frozenset(links)
+
+
+def reference_apply_noise(model, tokens: Sequence[str], seed: int, sentence_index: int = 0) -> tuple[str, ...]:
+    """The lexical noise sampler with one ``rng.random()`` call per decision
+    and a linear scan per table draw: the package's earlier ``apply_noise``.
+
+    ``model`` is read by attribute only (``p_insert``, ``p_delete``,
+    ``p_substitute``, ``substitution_table``, ``insertion_table``).
+    """
+    rng = np.random.default_rng(int(seed) ^ int(sentence_index))
+    out: list[str] = []
+
+    def draw(dist) -> str:
+        r = rng.random()
+        acc = 0.0
+        for word, p in dist:
+            acc += p
+            if r < acc:
+                return word
+        return dist[-1][0]
+
+    def insertion_run() -> None:
+        if model.p_insert <= 0.0:
+            return
+        while rng.random() < model.p_insert:
+            out.append(draw(model.insertion_table))
+
+    insertion_run()
+    for token in tokens:
+        if rng.random() < model.p_delete:
+            insertion_run()
+            continue
+        dist = model.substitution_table.get(token)
+        if rng.random() < model.p_substitute and dist:
+            out.append(draw(dist))
+        else:
+            out.append(token)
+        insertion_run()
+    return tuple(out)
+
+
 def _ngrams(tokens: Sequence[str], n: int) -> dict[tuple, int]:
     counts: dict[tuple, int] = {}
     for i in range(len(tokens) - n + 1):

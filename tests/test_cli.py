@@ -678,8 +678,9 @@ def _sweep_error_free(path):
 
 
 def _bad_model(path, prefix, line):
-    """Rewrite noise_en.tsv with ``line`` in place of each line starting with
-    ``prefix``, or without those lines when ``line`` is None."""
+    """Rewrite noise_en.tsv with ``line`` (which may hold several lines) in
+    place of each line starting with ``prefix``, or without those lines when
+    ``line`` is None."""
     model = path / "noise_en.tsv"
     lines = model.read_text(encoding="utf-8").splitlines()
     lines = [line if old.startswith(prefix) else old for old in lines]
@@ -766,6 +767,25 @@ BAD_INPUTS = [
         _noise_apply_bad_model("e01\t", "e01\tqe01\t0.5"),
         2,
         "noise_en.tsv: substitution[e01] distribution does not sum to 1",
+    ),
+    # a row's probability is checked by itself: these rows sum to 1, or to nan
+    (
+        "noise-apply-model-negative-row",
+        _noise_apply_bad_model("e01\t", "e01\tqe01\t-0.5\ne01\tqx\t1.5"),
+        2,
+        "noise_en.tsv: substitution[e01] row 'qe01' has probability -0.5 outside [0, 1]",
+    ),
+    (
+        "noise-apply-model-nan-row",
+        _noise_apply_bad_model("e01\t", "e01\tqe01\tnan\ne01\tqx\t1.0"),
+        2,
+        "noise_en.tsv: substitution[e01] row 'qe01' has probability nan outside [0, 1]",
+    ),
+    (
+        "sweep-model-nan-row",
+        _sweep_bad_model("\t", "\tqfill\tnan\n\tqx\t1.0"),
+        2,
+        "noise_en.tsv: insertion row 'qfill' has probability nan outside [0, 1]",
     ),
     (
         "sweep-model-out-of-range",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import (
@@ -17,7 +17,12 @@ from multisimul.errors import (
     ParseError,
 )
 
-from oracles import SPLIT_ALPHABET, reference_token_offsets, reference_tokenize_13a
+from oracles import (
+    SPLIT_ALPHABET,
+    reference_alignment_line,
+    reference_token_offsets,
+    reference_tokenize_13a,
+)
 
 
 class TestTokenize13a:
@@ -49,6 +54,17 @@ class TestTokenize13a:
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_tokenizer_property(self, text):
+        assert list(tokenize_13a(text)) == reference_tokenize_13a(text)
+
+    # digits, periods, commas and dashes side by side, which text drawn from
+    # all of Unicode rarely puts together
+    @given(st.text(alphabet="0123456789.,-ab &;<>\n", max_size=40))
+    @example("a.,b")
+    @example("1--2")
+    @example("..0")
+    @example("-\n")
+    @settings(max_examples=300, deadline=None)
+    def test_dense_alphabet_matches_reference_tokenizer(self, text):
         assert list(tokenize_13a(text)) == reference_tokenize_13a(text)
 
     @given(st.text(max_size=60))
@@ -162,3 +178,26 @@ class TestWordAlignment:
             load_word_alignment(tmp_path / "al.txt")
         assert "line 2" in str(exc.value) and "column 5" in str(exc.value)
         assert "a-b" in str(exc.value)
+
+    # ASCII and other Nd digits (Arabic-Indic, fullwidth), a superscript two
+    # (a digit but not decimal), dashes, a letter and separators
+    @given(st.lists(st.text(alphabet="09-\u0661\uff11\u00b2a ", max_size=12), min_size=1, max_size=3))
+    @example(["0-0 1-\u0661", "2-2-2", "-1 1-"])
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_regex_oracle(self, tmp_path, lines):
+        assume(lines != [""])  # a file of one empty line reads as no lines
+        path = tmp_path / "al.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        expected = [reference_alignment_line(line) for line in lines]
+        bad = [(lineno, e) for lineno, e in enumerate(expected, start=1) if isinstance(e, tuple)]
+        if not bad:
+            assert load_word_alignment(path) == expected
+            return
+        lineno, (pair, col) = bad[0]
+        with pytest.raises(ParseError) as exc:
+            load_word_alignment(path)
+        assert str(exc.value) == (
+            f"{path}: malformed alignment pair {pair!r} at line {lineno}, column {col}"
+        )

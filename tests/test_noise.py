@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence, TranscriptPair
 from multisimul.errors import ContractError, ModelFormatError, UnattainableWerError
@@ -17,6 +19,7 @@ from multisimul.noise import (
 )
 
 from conftest import corrupt_for_training, synthetic_corpus
+from oracles import reference_apply_noise
 
 
 def _pairs(raw_pairs):
@@ -36,6 +39,33 @@ def _model(p_i=0.0, p_d=0.0, p_s=0.0, subs=None, ins=()):
         p_substitute=p_s,
         substitution_table=subs or {},
         insertion_table=tuple(ins),
+    )
+
+
+GOLD_WORDS = [f"g{i}" for i in range(8)]
+
+
+@st.composite
+def distributions(draw, prefix):
+    """A table of 1-700 rows over ``prefix``-words, zero rows included."""
+    rows = draw(st.integers(1, 700))
+    weights = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    return tuple((f"{prefix}{k}", w / total) for k, w in enumerate(weights))
+
+
+@st.composite
+def noise_models(draw):
+    probability = st.floats(0.0, 1.0)
+    subs = draw(st.dictionaries(st.sampled_from(GOLD_WORDS), distributions("s"), max_size=4))
+    return LexicalNoiseModel(
+        p_insert=draw(st.floats(0.0, 0.9)),
+        p_delete=draw(probability),
+        p_substitute=draw(probability),
+        substitution_table=subs,
+        insertion_table=draw(distributions("i")),
     )
 
 
@@ -172,6 +202,20 @@ class TestApplyNoise:
         else:
             pytest.fail("no insertion before the first token in 40 seeds")
 
+    @given(
+        noise_models(),
+        st.lists(st.lists(st.sampled_from(GOLD_WORDS + ["unk"]), max_size=60), max_size=4),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_sampler(self, model, sentences, seed):
+        # p_insert up to 0.9 makes insertion runs long enough to read past a
+        # sentence's first block of doubles
+        noised = apply_noise_corpus(model, sentences, seed)
+        assert [s.tokens for s in noised] == [
+            reference_apply_noise(model, sent, seed, i) for i, sent in enumerate(sentences)
+        ]
+
     def test_law_of_large_numbers(self, toy_noise_model):
         # empirical corpus WER converges to the closed-form value (100k tokens)
         model = rescale_to_wer(toy_noise_model, 0.25)
@@ -250,3 +294,13 @@ class TestModelInvariants:
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ContractError):
             _model(subs={"a": (("b", 0.5), ("c", 0.4))})
+
+    @pytest.mark.parametrize(
+        "rows", [(("x", -0.5), ("y", 1.5)), (("x", math.nan), ("y", 1.0)), (("x", math.inf),)]
+    )
+    def test_row_probability_bounds(self, rows):
+        # rows that sum to 1 (or to nan) are still rejected one by one
+        with pytest.raises(ContractError, match="row 'x' has probability"):
+            _model(subs={"a": rows})
+        with pytest.raises(ContractError, match="insertion row 'x' has probability"):
+            _model(p_i=0.1, ins=rows)
