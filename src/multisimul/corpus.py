@@ -103,11 +103,9 @@ def tokenize_13a(raw: str) -> tuple[str, ...]:
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} "
     norm = norm.translate(_13A_SYMBOLS)
-    if "." in norm or "," in norm:
-        norm = _13A_NONDIGIT_PUNCT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
-        norm = _13A_PUNCT_NONDIGIT.sub(lambda m: f" {m[1]} {m[2]}", norm)
-    if "-" in norm:
-        norm = _13A_DIGIT_DASH.sub(" - ", norm)
+    norm = _13A_NONDIGIT_PUNCT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
+    norm = _13A_PUNCT_NONDIGIT.sub(lambda m: f" {m[1]} {m[2]}", norm)
+    norm = _13A_DIGIT_DASH.sub(" - ", norm)
     return tuple(norm.split())
 
 
