@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,9 +42,13 @@ class TokenSequence:
 
     @classmethod
     def from_raw(cls, raw: str) -> "TokenSequence":
-        """Whitespace-split the stripped ``raw``."""
+        """Whitespace-split the stripped ``raw``.
+
+        The tokens are interned, so every loaded sequence holds one string
+        per distinct token, shared across lines and files.
+        """
         raw = raw.strip()
-        return cls(tuple(raw.split()), raw)
+        return cls(tuple(map(sys.intern, raw.split())), raw)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenSequence":
@@ -66,15 +71,10 @@ class TranscriptPair:
 Alignment = frozenset[tuple[int, int]]
 
 
-# mteval-13a pads every one of these ASCII symbols with spaces; each match is
-# a single character, so one translation table does what the regex does
-_13A_SYMBOLS = str.maketrans(
-    {
-        c: f" {c} "
-        for c in map(chr, range(128))
-        if re.fullmatch(r"[\{-\~\[-\` -\&\(-\+\:-\@\/]", c)
-    }
-)
+# mteval-13a pads each of its ASCII symbols with spaces. The space itself is
+# left out: padding it changes neither the final split nor what any later
+# rule sees next to a character
+_13A_SYMBOL = re.compile(r"[!-&(-+/:-@\[-`{-~]")
 
 
 # the rules for a period or comma after or before a non-digit, and for a dash
@@ -102,7 +102,7 @@ def tokenize_13a(raw: str) -> tuple[str, ...]:
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
     norm = f" {norm} "
-    norm = norm.translate(_13A_SYMBOLS)
+    norm = _13A_SYMBOL.sub(lambda m: f" {m[0]} ", norm)
     norm = _13A_NONDIGIT_PUNCT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
     norm = _13A_PUNCT_NONDIGIT.sub(lambda m: f" {m[1]} {m[2]}", norm)
     norm = _13A_DIGIT_DASH.sub(" - ", norm)
@@ -190,20 +190,24 @@ def load_transcript_pairs(
 def load_word_alignment(path: str | Path) -> list[Alignment]:
     """Parse Pharaoh-format ("i-j" pairs, one line per sentence pair) alignments."""
     alignments: list[Alignment] = []
+    # each distinct pair text is parsed once, and its lines share the tuple
+    parsed: dict[str, tuple[int, int]] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         links: set[tuple[int, int]] = set()
         col = 1
         for pair in line.split():
-            # without a dash, j is empty; isdecimal is Unicode category Nd,
-            # the digits that int() reads
-            i, _, j = pair.partition("-")
-            if not (i.isdecimal() and j.isdecimal()):
-                raise ParseError(
-                    f"{path}: malformed alignment pair {pair!r} at line {lineno}, "
-                    f"column {col}"
-                )
-            links.add((int(i), int(j)))
+            link = parsed.get(pair)
+            if link is None:
+                # without a dash, j is empty; isdecimal is Unicode category
+                # Nd, the digits that int() reads
+                i, _, j = pair.partition("-")
+                if not (i.isdecimal() and j.isdecimal()):
+                    raise ParseError(
+                        f"{path}: malformed alignment pair {pair!r} at line {lineno}, "
+                        f"column {col}"
+                    )
+                link = parsed[pair] = (int(i), int(j))
+            links.add(link)
             col += len(pair) + 1
         alignments.append(frozenset(links))
     return alignments
-

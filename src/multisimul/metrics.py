@@ -569,9 +569,10 @@ class BootstrapResult:
     score_b: float
 
 
-# bootstrap draws per block (resamples x segments): the index and count
-# matrices of one block take 2 MiB each, whatever the corpus size
-_BOOTSTRAP_BLOCK_DRAWS = 1 << 18
+# bootstrap draws per block (resamples x segments): a block keeps three
+# matrices of 8-byte entries alive at once (the drawn indices, the counts and
+# their float64 copy), 0.5 MiB each and 1.5 MiB together, whatever the corpus size
+_BOOTSTRAP_BLOCK_DRAWS = 1 << 16
 
 
 def paired_bootstrap(
@@ -624,6 +625,8 @@ def paired_bootstrap(
         counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n).astype(np.float64)
         sums_a = (counts @ floats_a).astype(np.int64).tolist()
         sums_b = (counts @ floats_b).astype(np.int64).tolist()
+        # the next block's matrices are made after this block's are freed
+        del idx, counts
         for row_a, row_b in zip(sums_a, sums_b):
             score_a = score(row_a)
             score_b = score(row_b)

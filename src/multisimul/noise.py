@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = "1"
+_HEADER_FIELDS = {"p_insert", "p_delete", "p_substitute", "scale_c"}
 
 Distribution = tuple[tuple[str, float], ...]
 
@@ -343,6 +344,14 @@ def load_model(path: str | Path) -> LexicalNoiseModel:
         words = fields[1:-1] if fields[0] == "" else fields[:-1]
         try:
             if len(fields) == 2:
+                if fields[0] not in _HEADER_FIELDS:
+                    raise ModelFormatError(
+                        f"{path}: line {lineno} has unknown header field {fields[0]!r}"
+                    )
+                if fields[0] in header:
+                    raise ModelFormatError(
+                        f"{path}: line {lineno} repeats header field {fields[0]!r}"
+                    )
                 header[fields[0]] = float(fields[1])
             elif len(fields) != 3 or any(word.split() != [word] for word in words):
                 raise ValueError("wrong field count or a word that is not one token")
@@ -352,7 +361,7 @@ def load_model(path: str | Path) -> LexicalNoiseModel:
                 sub_rows.setdefault(fields[0], []).append((fields[1], float(fields[2])))
         except ValueError as exc:
             raise ModelFormatError(f"{path}: malformed line {lineno}: {line!r}") from exc
-    missing = {"p_insert", "p_delete", "p_substitute", "scale_c"} - set(header)
+    missing = _HEADER_FIELDS - header.keys()
     if missing:
         raise ModelFormatError(f"{path}: missing header fields {sorted(missing)}")
     try:

@@ -793,6 +793,32 @@ BAD_INPUTS = [
         2,
         "noise_en.tsv: p_delete=1.5 outside [0, 1]",
     ),
+    # a header field given twice, or one the format does not have, would be
+    # read as the last value given, or ignored
+    (
+        "noise-apply-model-repeated-field",
+        _noise_apply_bad_model("p_delete\t", "p_delete\t0.1\np_delete\t0.9"),
+        2,
+        "noise_en.tsv: line 4 repeats header field 'p_delete'",
+    ),
+    (
+        "noise-apply-model-unknown-field",
+        _noise_apply_bad_model("scale_c\t", "scale_c\t1.0\np_delte\t0.5"),
+        2,
+        "noise_en.tsv: line 6 has unknown header field 'p_delte'",
+    ),
+    (
+        "sweep-model-repeated-field",
+        _sweep_bad_model("scale_c\t", "scale_c\t1.0\nscale_c\t2.0"),
+        2,
+        "noise_en.tsv: line 6 repeats header field 'scale_c'",
+    ),
+    (
+        "sweep-model-unknown-field",
+        _sweep_bad_model("p_insert\t", "p_insert\t0.02\np_delte\t0.5"),
+        2,
+        "noise_en.tsv: line 3 has unknown header field 'p_delte'",
+    ),
     # insertions drawn from no rows never happen, though the expected WER
     # counts them; the insertion rows are the lines with an empty first field
     (

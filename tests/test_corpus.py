@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -56,9 +59,9 @@ class TestTokenize13a:
     def test_matches_reference_tokenizer_property(self, text):
         assert list(tokenize_13a(text)) == reference_tokenize_13a(text)
 
-    # digits, periods, commas and dashes side by side, which text drawn from
-    # all of Unicode rarely puts together
-    @given(st.text(alphabet="0123456789.,-ab &;<>\n", max_size=40))
+    # digits, periods, commas, dashes and padded symbols side by side, which
+    # text drawn from all of Unicode rarely puts together
+    @given(st.text(alphabet="0123456789.,-ab &;<>\n\t\"'()%$!?/", max_size=40))
     @example("a.,b")
     @example("1--2")
     @example("..0")
@@ -149,6 +152,31 @@ class TestLoaders:
         pairs = load_transcript_pairs(tmp_path / "gold.txt", tmp_path / "asr.txt")
         assert pairs[0].gold.tokens == pairs[0].hyp.tokens == ("hello", "there")
 
+    def test_transcript_tokens_interned(self, tmp_path):
+        # one string object per distinct token, across lines and across sides
+        (tmp_path / "gold.txt").write_text("Token word\nword\n", encoding="utf-8")
+        (tmp_path / "asr.txt").write_text("word token\nWord\n", encoding="utf-8")
+        pairs = load_transcript_pairs(tmp_path / "gold.txt", tmp_path / "asr.txt")
+        assert pairs[0].gold.tokens[0] is pairs[0].hyp.tokens[1]
+        assert pairs[0].gold.tokens[1] is pairs[1].gold.tokens[0] is pairs[1].hyp.tokens[0]
+
+    def test_transcript_memory_grows_with_vocabulary(self, tmp_path):
+        # 2000 pairs of 30 tokens over 50 words: one string per occurrence
+        # would take 6.4 MiB by itself (120,000 strings of 56 bytes)
+        rng = random.Random(5)
+        vocab = [f"word{i:02d}" for i in range(50)]
+        for name in ("gold.txt", "asr.txt"):
+            lines = (" ".join(rng.choices(vocab, k=30)) for _ in range(2000))
+            (tmp_path / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            pairs = load_transcript_pairs(tmp_path / "gold.txt", tmp_path / "asr.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 2000
+        assert peak < 5 * 2**20
+
 
 class TestNormalizeTranscript:
     def test_default_keeps_punctuation(self):
@@ -178,6 +206,23 @@ class TestWordAlignment:
             load_word_alignment(tmp_path / "al.txt")
         assert "line 2" in str(exc.value) and "column 5" in str(exc.value)
         assert "a-b" in str(exc.value)
+
+    def test_repeated_pair_shares_one_tuple(self, tmp_path):
+        (tmp_path / "al.txt").write_text("3-4 0-0\n3-4\n1-1 3-4\n", encoding="utf-8")
+        alignments = load_word_alignment(tmp_path / "al.txt")
+        assert alignments == [{(3, 4), (0, 0)}, {(3, 4)}, {(1, 1), (3, 4)}]
+        first, second, third = (
+            next(link for link in links if link == (3, 4)) for links in alignments
+        )
+        assert first is second is third
+
+    def test_repeated_malformed_pair_reports_first_line(self, tmp_path):
+        (tmp_path / "al.txt").write_text("0-0 1-x\n1-1\n0-0 1-x\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_word_alignment(tmp_path / "al.txt")
+        assert str(exc.value) == (
+            f"{tmp_path / 'al.txt'}: malformed alignment pair '1-x' at line 1, column 5"
+        )
 
     # ASCII and other Nd digits (Arabic-Indic, fullwidth), a superscript two
     # (a digit but not decimal), dashes, a letter and separators

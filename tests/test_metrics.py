@@ -536,6 +536,21 @@ class TestPairedBootstrap:
                 )
                 assert (result.wins_a, result.wins_b, result.ties) == outcome
 
+    def test_traced_peak_is_bounded(self, fixture_corpus):
+        # 2000 segments: a block of 2**18 draws would keep three 2 MiB
+        # matrices alive; the statistics themselves peak at about 2.2 MiB
+        hyps, refs, refs_b = (
+            (column * -(-2000 // len(column)))[:2000] for column in fixture_corpus
+        )
+        paired_bootstrap(hyps[:5], refs_b[:5], [refs[:5]], resamples=100)  # one-time set-up
+        tracemalloc.start()
+        try:
+            paired_bootstrap(hyps, refs_b, [refs], resamples=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
     def test_argument_errors(self, fixture_corpus):
         hyps, refs, _ = fixture_corpus
         with pytest.raises(ContractError):
