@@ -132,9 +132,8 @@ def _read_lines(path: str | Path) -> list[str]:
         line = data[: exc.start].count(b"\n") + 1
         raise InputError(f"{path}: UTF-8 decoding failed on line {line}") from exc
     text = text.replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n") if text else []
+    # only an empty file has no lines: "\n" is one empty line
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def check_line_counts(counts: Iterable[tuple[str | Path, int]]) -> None:
@@ -194,7 +193,6 @@ def load_word_alignment(path: str | Path) -> list[Alignment]:
     parsed: dict[str, tuple[int, int]] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         links: set[tuple[int, int]] = set()
-        col = 1
         for pair in line.split():
             link = parsed.get(pair)
             if link is None:
@@ -204,10 +202,22 @@ def load_word_alignment(path: str | Path) -> list[Alignment]:
                 if not (i.isdecimal() and j.isdecimal()):
                     raise ParseError(
                         f"{path}: malformed alignment pair {pair!r} at line {lineno}, "
-                        f"column {col}"
+                        f"column {_column(line, pair)}"
                     )
                 link = parsed[pair] = (int(i), int(j))
             links.add(link)
-            col += len(pair) + 1
         alignments.append(frozenset(links))
     return alignments
+
+
+def _column(line: str, pair: str) -> int:
+    """The 1-based column of the first field of ``line`` that equals ``pair``."""
+    # only whitespace lies between two fields, so a field starts where its
+    # text next occurs after the end of the last one
+    end = 0
+    for field in line.split():
+        start = line.index(field, end)
+        end = start + len(field)
+        if field == pair:
+            break
+    return start + 1

@@ -244,72 +244,49 @@ def _segment_matches(
     lengths: np.ndarray,
     n_tags: int,
     order: int,
-    bits: int,
     clip: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Clipped n-gram matches of a chunk for n = 1..order, summed per segment.
 
-    ``units`` holds the chunk's texts back to back, every unit in [1, 2**bits);
+    ``units`` holds the chunk's texts back to back, every unit non-negative;
     text k has ``lengths[k]`` units and belongs to segment ``k // n_tags`` and
-    tag ``k % n_tags``. The order-gram at each position, zero past the end of
-    its text, is packed into int64 words of ``63 // bits`` units, and all
-    positions are sorted once by (segment, words). The number of leading
-    units that adjacent sorted keys share marks the groups of equal n-grams
-    for every n at once. ``clip`` maps a (groups x tags) count matrix to the
-    matches of each group. Returns an (order x segments x matches) array.
+    tag ``k % n_tags``. Each position's gram id starts as its segment. At
+    order n, ranking (n-1)-gram id * ``base`` + n-th unit gives every distinct
+    n-gram of a segment a dense id, and the ids ascend with the segment.
+    ``clip`` maps a (grams x tags) count matrix to the matches of each gram.
+    Returns an (order x segments x matches) array.
     """
-    per_word = 63 // bits
-    n_words = -(-order // per_word)
-    size, n_segs = len(units), len(lengths) // n_tags
+    n_segs = len(lengths) // n_tags
     text = np.repeat(np.arange(len(lengths)), lengths)
-    # each text followed by enough zeros that a gram never reads the next text
-    pad = n_words * per_word - 1
-    pos = np.arange(size) + text * pad
-    buf = np.zeros(size + len(lengths) * pad, dtype=np.int64)
-    buf[pos] = units
-    words = []
-    for w in range(n_words):
-        word = np.zeros(size, dtype=np.int64)
-        for i in range(w * per_word, (w + 1) * per_word):
-            word <<= bits
-            word |= buf[pos + i]
-        words.append(word)
-    seg = text // n_tags
-    rank = np.lexsort((*words[::-1], seg))
-    seg, tag = seg[rank], (text % n_tags)[rank]
+    at = np.arange(len(units))
     # units from each position to the end of its text: its n-gram exists for n <= left
-    left = (np.cumsum(lengths)[text] - np.arange(size))[rank]
-    # shared[i]: leading units that sorted keys i - 1 and i have in common
-    shared = np.zeros(size, dtype=np.int64)
-    equal = seg[1:] == seg[:-1]
-    for word in words:
-        word = word[rank]
-        diff = word[1:] ^ word[:-1]
-        for k in range(per_word):
-            shared[1:] += equal & (diff < (1 << (k * bits)))
-        equal &= diff == 0
-    # the groups of every order at once, order-major: in order n's run of
-    # positions a group starts wherever fewer than n units are shared
-    starts = (shared < np.arange(1, order + 1)[:, None]).ravel()
-    heads = np.flatnonzero(starts)
-    group = np.cumsum(starts) - 1
-    counts = np.bincount(group * n_tags + np.tile(tag, order), minlength=len(heads) * n_tags)
-    n_minus_1, head = np.divmod(heads, size)
-    kept = left[head] > n_minus_1
-    matches = clip(counts.reshape(-1, n_tags)[kept])
-    sums = _segment_sums(matches, (n_minus_1 * n_segs + seg[head])[kept], order * n_segs)
-    return sums.reshape(order, n_segs, -1)
+    left = np.cumsum(lengths)[text] - at
+    gram, tag = np.divmod(text, n_tags)
+    gram_seg = np.arange(n_segs)
+    # the keys fit in int64: gram is below the chunk's unit (or segment) count,
+    # and base is at most 0x110000 for characters and the chunk's vocabulary
+    # size for tokens, so overflow needs a segment of 8e12 characters or 3e9 tokens
+    base = int(units.max(initial=0)) + 1
+    sums = []
+    for n in range(1, order + 1):
+        kept = left >= n
+        at, left, gram, tag = at[kept], left[kept], gram[kept], tag[kept]
+        keys, gram = np.unique(gram * base + units[at + n - 1], return_inverse=True)
+        gram_seg = gram_seg[keys // base]
+        counts = np.bincount(gram * n_tags + tag, minlength=len(keys) * n_tags)
+        sums.append(_segment_sums(clip(counts.reshape(-1, n_tags)), gram_seg, n_segs))
+    return np.stack(sums)
 
 
 def _bleu_rows(tokens: list[tuple[str, ...]], n_tags: int, n_sys: int) -> np.ndarray:
     """(segments x systems x BLEU row) of one chunk."""
     flat = list(chain.from_iterable(tokens))
-    # dense token ids, one vocabulary per chunk; 0 is padding
-    ids = {tok: i for i, tok in enumerate(dict.fromkeys(flat), start=1)}
+    # dense token ids, one vocabulary per chunk
+    ids = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
     units = np.fromiter(map(ids.__getitem__, flat), dtype=np.int64, count=len(flat))
     lengths = np.array([len(t) for t in tokens], dtype=np.int64)
     correct = _segment_matches(
-        units, lengths, n_tags, BLEU_ORDER, 31,
+        units, lengths, n_tags, BLEU_ORDER,
         # each hypothesis n-gram is clipped by its largest reference count
         lambda c: np.minimum(c[:, :n_sys], c[:, n_sys:].max(axis=1, keepdims=True)),
     )
@@ -325,15 +302,12 @@ def _bleu_rows(tokens: list[tuple[str, ...]], n_tags: int, n_sys: int) -> np.nda
 
 def _chrf_rows(chars: list[str], n_tags: int, n_sys: int) -> np.ndarray:
     """(segments x systems x chrF2 row) of one chunk, each against its best reference."""
-    # code points + 1, so that 0 is padding
-    units = np.frombuffer(
-        "".join(chars).encode("utf-32-le", "surrogatepass"), dtype="<u4"
-    ).astype(np.int64) + 1
+    units = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     lengths = np.array([len(c) for c in chars], dtype=np.int64)
     n_segs, n_refs = len(chars) // n_tags, n_tags - n_sys
     pairs = n_sys * n_refs
     match = _segment_matches(
-        units, lengths, n_tags, CHRF_ORDER, 21,
+        units, lengths, n_tags, CHRF_ORDER,
         # each hypothesis n-gram against each reference on its own
         lambda c: np.minimum(c[:, :n_sys, None], c[:, None, n_sys:]).reshape(len(c), pairs),
     )

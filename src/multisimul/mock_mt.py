@@ -20,6 +20,7 @@ UNKNOWN_MARGIN = 0.5
 def load_lexicon(path: str | Path) -> dict[str, str]:
     """TSV lexicon: one "src<TAB>tgt" entry per line."""
     lexicon: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
@@ -27,7 +28,14 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
         # each side must be one token: non-empty, no whitespace
         if len(fields) != 2 or line.split() != fields:
             raise InputError(f"{path}: malformed lexicon entry at line {lineno}: {line!r}")
+        # a repeat would silently replace the earlier entry
+        if fields[0] in lexicon:
+            raise InputError(
+                f"{path}: line {lineno} repeats source word {fields[0]!r} "
+                f"of line {first_line[fields[0]]}"
+            )
         lexicon[fields[0]] = fields[1]
+        first_line[fields[0]] = lineno
     return lexicon
 
 

@@ -125,15 +125,13 @@ def reference_token_offsets(raw: str) -> tuple[str, tuple[str, ...], tuple[int, 
 
 def reference_alignment_line(line: str) -> frozenset[tuple[int, int]] | tuple[str, int]:
     """The links of one Pharaoh-format line, parsed by regex, or its first
-    malformed pair and that pair's column (counting one separator per pair)."""
+    malformed pair and the 1-based column where that pair starts."""
     links = set()
-    col = 1
-    for pair in line.split():
-        match = re.match(r"^(\d+)-(\d+)$", pair)
+    for field in re.finditer(r"\S+", line):
+        match = re.match(r"^(\d+)-(\d+)$", field[0])
         if match is None:
-            return pair, col
+            return field[0], field.start() + 1
         links.add((int(match[1]), int(match[2])))
-        col += len(pair) + 1
     return frozenset(links)
 
 

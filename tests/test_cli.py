@@ -176,6 +176,15 @@ class TestScore:
         assert "has no segments" in captured.err
         assert captured.out == ""
 
+    def test_empty_hypothesis_line_scores_zero(self, tmp_path, capsys):
+        # a file of one empty line holds one segment, not none
+        _write(tmp_path / "hyp.txt", [""])
+        _write(tmp_path / "ref.txt", ["x"])
+        argv = ["score", "--hyps", str(tmp_path / "hyp.txt"), "--refs", str(tmp_path / "ref.txt")]
+        assert main(argv) == 0
+        out = dict(line.split("\t")[:2] for line in capsys.readouterr().out.splitlines())
+        assert float(out["bleu"]) == float(out["chrf2"]) == 0.0
+
 
 class TestNoiseCommands:
     def test_train_then_apply(self, tmp_path, capsys):
@@ -709,6 +718,11 @@ def _sweep_bad_model(prefix, line):
     return build
 
 
+def _repeated_lexicon_entry(path):
+    _write(path / "lex_en.tsv", EN_LEXICON + ["e01\tc02"])
+    return path
+
+
 def _independence_alpha(alpha):
     # the files do not exist: the value is rejected before any is read
     def build(path):
@@ -975,6 +989,23 @@ BAD_INPUTS = [
         lambda p: _simulate(p, lexicon=["lex_en.tsv", "lex_de.tsv"]),
         3,
         "--lexicon repeats language 'en'",
+    ),
+    # a source word given twice: the last entry would silently win
+    (
+        "simulate-lexicon-repeated-word",
+        lambda p: _simulate(_repeated_lexicon_entry(p)),
+        2,
+        "lex_en.tsv: line 9 repeats source word 'e01' of line 1",
+    ),
+    (
+        "sweep-lexicon-repeated-word",
+        lambda p: [
+            "sweep",
+            "--config", str(_sweep_config(_repeated_lexicon_entry(p), "0.1:0.1", "2", "1")),
+            "--out-dir", str(p / "out"),
+        ],
+        2,
+        "lex_en.tsv: line 9 repeats source word 'e01' of line 1",
     ),
     (
         "simulate-source-and-lexicon-languages-differ",

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import (
@@ -135,6 +135,13 @@ class TestLoaders:
         columns = load_parallel({"a": tmp_path / "a.txt", "b": tmp_path / "b.txt"})
         assert columns == {"a": [], "b": []}
 
+    def test_one_empty_line_is_one_line(self, tmp_path):
+        # only an empty file has no lines
+        for data, lines in ((b"", []), (b"\n", [""]), (b"\r\n", [""]), (b"\n\n", ["", ""])):
+            (tmp_path / "a.txt").write_bytes(data)
+            columns = load_parallel({"a": tmp_path / "a.txt"})
+            assert [s.raw for s in columns["a"]] == lines
+
     def test_crlf_normalized(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"a b\r\nc d\r\n")
         columns = load_parallel({"a": tmp_path / "a.txt"})
@@ -201,11 +208,22 @@ class TestWordAlignment:
         assert alignments[2] == {(2, 1)}
 
     def test_malformed_pair_reports_position(self, tmp_path):
-        (tmp_path / "al.txt").write_text("0-0\n1-1 a-b\n", encoding="utf-8")
-        with pytest.raises(ParseError) as exc:
-            load_word_alignment(tmp_path / "al.txt")
-        assert "line 2" in str(exc.value) and "column 5" in str(exc.value)
-        assert "a-b" in str(exc.value)
+        # whitespace of any length or kind counts as it stands; "-1" also
+        # occurs inside the valid pair "1-1" before it
+        cases = [
+            ("0-0\n1-1 a-b", "a-b", 2, 5),
+            ("0-0  a-b", "a-b", 1, 6),
+            ("  0-0\tx", "x", 1, 7),
+            ("1-1 -1", "-1", 1, 5),
+        ]
+        path = tmp_path / "al.txt"
+        for text, pair, lineno, col in cases:
+            path.write_text(text + "\n", encoding="utf-8")
+            with pytest.raises(ParseError) as exc:
+                load_word_alignment(path)
+            assert str(exc.value) == (
+                f"{path}: malformed alignment pair {pair!r} at line {lineno}, column {col}"
+            )
 
     def test_repeated_pair_shares_one_tuple(self, tmp_path):
         (tmp_path / "al.txt").write_text("3-4 0-0\n3-4\n1-1 3-4\n", encoding="utf-8")
@@ -226,13 +244,12 @@ class TestWordAlignment:
 
     # ASCII and other Nd digits (Arabic-Indic, fullwidth), a superscript two
     # (a digit but not decimal), dashes, a letter and separators
-    @given(st.lists(st.text(alphabet="09-\u0661\uff11\u00b2a ", max_size=12), min_size=1, max_size=3))
+    @given(st.lists(st.text(alphabet="09-\u0661\uff11\u00b2a \t", max_size=12), min_size=1, max_size=3))
     @example(["0-0 1-\u0661", "2-2-2", "-1 1-"])
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_matches_regex_oracle(self, tmp_path, lines):
-        assume(lines != [""])  # a file of one empty line reads as no lines
         path = tmp_path / "al.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         expected = [reference_alignment_line(line) for line in lines]

@@ -347,13 +347,13 @@ class TestSufficientStatisticsOracle:
         assert chrf2(hyps, refs) == pytest.approx(reference_chrf2(hyps, refs), abs=1e-9)
 
 
-# lines for the counting kernel: empty and whitespace-only lines, NUL (which
-# must not collide with the kernel's zero padding), non-ASCII, a non-BMP
-# character and a lone surrogate, mixed with 13a punctuation
+# lines for the counting kernel: empty and whitespace-only lines, NUL (code
+# point 0), non-ASCII, a non-BMP character, the last code point (the widest
+# key base) and a lone surrogate, mixed with 13a punctuation
 _KERNEL_LINE = st.lists(
     st.sampled_from(
-        ["", " ", "\t", "a", "b", "ab", "\x00", "é", "漢", "\U0001F600", "\ud800",
-         ".", ",", "1", "-", "&amp;"]
+        ["", " ", "\t", "a", "b", "ab", "\x00", "é", "漢", "\U0001F600", "\U0010FFFF",
+         "\ud800", ".", ",", "1", "-", "&amp;"]
     ),
     max_size=10,
 ).flatmap(lambda pieces: st.sampled_from(["", " "]).map(lambda sep: sep.join(pieces)))
@@ -433,6 +433,22 @@ class TestCountingKernel:
         # 400 segments already span several chunks for both metrics
         small, large = extra_peak(20), extra_peak(80)
         assert large <= 1.5 * small, (small, large)
+
+    @pytest.mark.parametrize("metric", ["bleu", "chrf2"])
+    def test_statistics_peak_is_bounded(self, fixture_corpus, metric):
+        # two systems and one reference set of 2000 segments: the kernel
+        # peaks at about 1.1 MiB, whatever the metric
+        hyps, refs, refs_b = (
+            (column * -(-2000 // len(column)))[:2000] for column in fixture_corpus
+        )
+        metrics._stats_matrices([hyps[:5]], [refs[:5]], metric)  # one-time set-up
+        tracemalloc.start()
+        try:
+            metrics._stats_matrices([hyps, refs_b], [refs], metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 def _log(events):
@@ -538,7 +554,7 @@ class TestPairedBootstrap:
 
     def test_traced_peak_is_bounded(self, fixture_corpus):
         # 2000 segments: a block of 2**18 draws would keep three 2 MiB
-        # matrices alive; the statistics themselves peak at about 2.2 MiB
+        # matrices alive; the statistics themselves peak at about 1.1 MiB
         hyps, refs, refs_b = (
             (column * -(-2000 // len(column)))[:2000] for column in fixture_corpus
         )
