@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import re
 import sys
 import unicodedata
@@ -124,8 +125,10 @@ def normalize_transcript(raw: str, *, lowercase: bool = True, strip_punct: bool 
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 text file, CRLF normalized, without the final newline."""
-    data = Path(path).read_bytes()
+    """Lines of a UTF-8 text file, CRLF normalized, without a leading
+    byte-order mark or the final newline."""
+    # cut from the bytes, so a decoding error's offset indexes data
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -34,6 +34,8 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
                 f"{path}: line {lineno} repeats source word {fields[0]!r} "
                 f"of line {first_line[fields[0]]}"
             )
+        if fields[1] == EOS:
+            raise InputError(f"{path}: line {lineno} maps to the reserved token {EOS}")
         lexicon[fields[0]] = fields[1]
         first_line[fields[0]] = lineno
     return lexicon
@@ -52,9 +54,8 @@ class LexiconTranslator:
     last one is answered from the stored hypothesis, one that extends it only
     translates the new tokens, and a forced target that extends the last one
     only consumes the new tokens.
-    Answers share their score vectors, which are read-only; one vector is
-    kept per (token, margin) while the vocabulary stays the same. An
-    instance is not safe to share between threads.
+    Answers share their score vectors, which are read-only. An instance is
+    not safe to share between threads.
     """
 
     def __init__(self, lexicon: Mapping[str, str]):
@@ -65,8 +66,6 @@ class LexiconTranslator:
         self._vocab: Vocabulary | None = None
         self._tokens: tuple[str, ...] = ()
         self._scores: tuple[np.ndarray, ...] = ()
-        # read-only one-hot vectors of self._vocab, by (token, margin)
-        self._one_hots: dict[tuple[str, float], np.ndarray] = {}
         # the last forced target and where it left the hypothesis pointer
         self._forced: list[str] = []
         self._ptr = 0
@@ -83,26 +82,24 @@ class LexiconTranslator:
         return tokens
 
     def _update_hypothesis(self, source: tuple[str, ...], vocab: Vocabulary) -> None:
-        same_vocab = vocab is self._vocab
         known = len(self._source)
-        one_hots = self._one_hots if same_vocab else {}
-        if same_vocab and source[:known] == self._source:
+        if vocab is self._vocab and source[:known] == self._source:
             if len(source) == known:
                 return
             tokens, scores = self._tokens, self._scores
         else:
             known, tokens = 0, ()
-            scores = (_one_hot(one_hots, vocab, EOS, KNOWN_MARGIN),)
+            scores = (vocab.one_hot(EOS, KNOWN_MARGIN),)
         entries = [self._translate(tok) for tok in source[known:]]
         scores = (
             scores[:-1]
-            + tuple(_one_hot(one_hots, vocab, tok, margin) for tok, margin in entries)
+            + tuple(vocab.one_hot(tok, margin) for tok, margin in entries)
             + scores[-1:]
         )
         # stored only now: a token missing from the vocabulary raises above
         # and leaves the remembered query as it was
         self._tokens = tokens + tuple(tok for tok, _ in entries)
-        self._scores, self._one_hots = scores, one_hots
+        self._scores = scores
         self._source, self._vocab = source, vocab
         # a longer hypothesis may hold a forced token that was missing before
         self._forced, self._ptr = [], 0
@@ -134,18 +131,3 @@ class LexiconTranslator:
         self._update_hypothesis(source_prefix, vocab)
         ptr = self._consume_forced(forced_target)
         return DecodeResult(self._tokens[ptr:], self._scores[ptr:])
-
-
-def _read_only(vector: np.ndarray) -> np.ndarray:
-    vector.flags.writeable = False
-    return vector
-
-
-def _one_hot(
-    cache: dict[tuple[str, float], np.ndarray], vocab: Vocabulary, token: str, margin: float
-) -> np.ndarray:
-    """``vocab.one_hot(token, margin)``, read-only, shared through ``cache``."""
-    vector = cache.get((token, margin))
-    if vector is None:
-        vector = cache[token, margin] = _read_only(vocab.one_hot(token, margin))
-    return vector

@@ -53,8 +53,10 @@ class Vocabulary:
         return self._tokens[index]
 
     def one_hot(self, token: str, margin: float = 1.0) -> np.ndarray:
+        """A read-only score vector: ``margin`` at ``token``, 0 elsewhere."""
         vec = np.zeros(len(self._tokens))
         vec[self._index[token]] = margin
+        vec.flags.writeable = False
         return vec
 
 

@@ -533,6 +533,18 @@ class TestSweep:
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_config_with_byte_order_mark(self, workspace, capsys):
+        # a leading UTF-8 byte-order mark is not part of "version=1"
+        config = _sweep_config(workspace, wer_grid="0.1:0.1", la_grid="2", seeds="1")
+        plain, marked = workspace / "plain", workspace / "marked"
+        assert main(["sweep", "--config", str(config), "--out-dir", str(plain)]) == 0
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert main(["sweep", "--config", str(config), "--out-dir", str(marked)]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in marked.iterdir()) and names
+        for name in names:
+            assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
     def test_config_errors(self, workspace, capsys):
         bad = workspace / "bad.cfg"
         bad.write_text("version=1\nlanguages=en,de\n", encoding="utf-8")
@@ -548,6 +560,8 @@ class TestSweep:
             ("languages=en,en", "languages must be distinct: en,en"),
             # would overwrite the multi system's rows
             ("languages=en,multi", "'multi' names the multi-source system"),
+            # would run the whole grid, then fail to write tradeoff_e/n0.10_de0.10.tsv
+            ("languages=e/n,de", "language 'e/n' needs letters, digits, '_' or '-' only"),
             # the multi system would be the one language's system run again
             ("languages=en", "the 'multi' system needs at least two languages"),
             ("primary=fr", "primary 'fr' not among languages"),
@@ -720,6 +734,16 @@ def _sweep_bad_model(prefix, line):
 
 def _repeated_lexicon_entry(path):
     _write(path / "lex_en.tsv", EN_LEXICON + ["e01\tc02"])
+    return path
+
+
+def _eos_lexicon_entry(path):
+    _write(path / "lex_en.tsv", [EN_LEXICON[0], "e02\t</s>", *EN_LEXICON[2:]])
+    return path
+
+
+def _eos_source_token(path):
+    _write(path / "en.txt", [EN_LINES[0], "e07 </s> e01 e02", *EN_LINES[2:]])
     return path
 
 
@@ -1006,6 +1030,50 @@ BAD_INPUTS = [
         ],
         2,
         "lex_en.tsv: line 9 repeats source word 'e01' of line 1",
+    ),
+    # the reserved end-of-sentence token would end a single-source run early
+    # but be outvoted in a multi-source one
+    (
+        "simulate-lexicon-eos-target",
+        lambda p: _simulate(_eos_lexicon_entry(p)),
+        2,
+        "lex_en.tsv: line 2 maps to the reserved token </s>",
+    ),
+    (
+        "sweep-lexicon-eos-target",
+        lambda p: [
+            "sweep", "--config", str(_sweep_config(_eos_lexicon_entry(p), "0.1:0.1", "2", "1")),
+            "--out-dir", str(p / "out"),
+        ],
+        2,
+        "lex_en.tsv: line 2 maps to the reserved token </s>",
+    ),
+    (
+        "simulate-source-eos-token",
+        lambda p: _simulate(_eos_source_token(p)),
+        2,
+        "en.txt: line 2 holds the reserved token </s>",
+    ),
+    (
+        "sweep-source-eos-token",
+        lambda p: [
+            "sweep", "--config", str(_sweep_config(_eos_source_token(p), "0.1:0.1", "2", "1")),
+            "--out-dir", str(p / "out"),
+        ],
+        2,
+        "en.txt: line 2 holds the reserved token </s>",
+    ),
+    (
+        "sweep-model-eos-substitution",
+        _sweep_bad_model("e02\t", "e02\t</s>\t1.0"),
+        2,
+        "noise_en.tsv: a substitution or insertion word is the reserved token </s>",
+    ),
+    (
+        "sweep-model-eos-insertion",
+        _sweep_bad_model("\t", "\t</s>\t1.0"),
+        2,
+        "noise_en.tsv: a substitution or insertion word is the reserved token </s>",
     ),
     (
         "simulate-source-and-lexicon-languages-differ",

@@ -136,8 +136,15 @@ class TestLoaders:
         assert columns == {"a": [], "b": []}
 
     def test_one_empty_line_is_one_line(self, tmp_path):
-        # only an empty file has no lines
-        for data, lines in ((b"", []), (b"\n", [""]), (b"\r\n", [""]), (b"\n\n", ["", ""])):
+        # only an empty file has no lines; a leading byte-order mark is not text
+        for data, lines in (
+            (b"", []),
+            (b"\n", [""]),
+            (b"\r\n", [""]),
+            (b"\n\n", ["", ""]),
+            (b"\xef\xbb\xbf", []),
+            (b"\xef\xbb\xbfa b\n", ["a b"]),
+        ):
             (tmp_path / "a.txt").write_bytes(data)
             columns = load_parallel({"a": tmp_path / "a.txt"})
             assert [s.raw for s in columns["a"]] == lines
@@ -148,10 +155,12 @@ class TestLoaders:
         assert [s.tokens for s in columns["a"]] == [("a", "b"), ("c", "d")]
 
     def test_bad_utf8_reports_line(self, tmp_path):
-        (tmp_path / "a.txt").write_bytes(b"ok\n\xff\xfe\n")
-        with pytest.raises(InputError) as exc:
-            load_parallel({"a": tmp_path / "a.txt"})
-        assert "line 2" in str(exc.value)
+        # the line is counted over the file's bytes, a byte-order mark included
+        for data in (b"ok\n\xff\xfe\n", b"\xef\xbb\xbfok\n\xff\n"):
+            (tmp_path / "a.txt").write_bytes(data)
+            with pytest.raises(InputError) as exc:
+                load_parallel({"a": tmp_path / "a.txt"})
+            assert "line 2" in str(exc.value)
 
     def test_load_transcript_pairs_lowercases(self, tmp_path):
         (tmp_path / "gold.txt").write_text("Hello There\n", encoding="utf-8")

@@ -410,4 +410,8 @@ class TestVocabulary:
         vec = vocab.one_hot("a", margin=0.5)
         assert vec[vocab.index("a")] == 0.5
         assert vec.sum() == 0.5
+        # answers may share a vector, so none can be changed in place
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
 
