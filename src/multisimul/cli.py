@@ -31,7 +31,7 @@ from .errors import (
 )
 from .independence import analyze_independence
 from .mock_mt import LexiconTranslator, load_lexicon
-from .simul import EOS, run_simul
+from .simul import run_simul
 
 __all__ = ["main"]
 
@@ -191,11 +191,6 @@ def _load_sources(
 ) -> tuple[dict[str, list[TokenSequence]], list[list[str]]]:
     """Source columns and reference sets, all with the same line count."""
     columns = load_parallel(sources)
-    # an EOS word would end a single-source run early but not a multi-source one
-    for lang, column in columns.items():
-        for lineno, sentence in enumerate(column, start=1):
-            if EOS in sentence.tokens:
-                raise InputError(f"{sources[lang]}: line {lineno} holds the reserved token {EOS}")
     refs = [_read_lines(path) for path in ref_paths]
     check_line_counts(
         [*zip(sources.values(), map(len, columns.values())), *zip(ref_paths, map(len, refs))]
@@ -418,13 +413,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_models = {
         lang: noise.load_model(path) for lang, path in config.noise_models.items()
     }
-    for lang, model in base_models.items():
-        dists = [model.insertion_table, *model.substitution_table.values()]
-        if any(word == EOS for dist in dists for word, _ in dist):
-            raise InputError(
-                f"{config.noise_models[lang]}: a substitution or insertion word is "
-                f"the reserved token {EOS}"
-            )
     systems = {lang: [lang] for lang in config.languages}
     systems[MULTI] = config.languages
 

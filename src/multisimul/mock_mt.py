@@ -34,8 +34,6 @@ def load_lexicon(path: str | Path) -> dict[str, str]:
                 f"{path}: line {lineno} repeats source word {fields[0]!r} "
                 f"of line {first_line[fields[0]]}"
             )
-        if fields[1] == EOS:
-            raise InputError(f"{path}: line {lineno} maps to the reserved token {EOS}")
         lexicon[fields[0]] = fields[1]
         first_line[fields[0]] = lineno
     return lexicon
@@ -77,9 +75,7 @@ class LexiconTranslator:
         return token, UNKNOWN_MARGIN
 
     def output_tokens(self, source: tuple[str, ...]) -> set[str]:
-        tokens = {self._translate(tok)[0] for tok in source}
-        tokens.add(EOS)
-        return tokens
+        return {self._translate(tok)[0] for tok in source}
 
     def _update_hypothesis(self, source: tuple[str, ...], vocab: Vocabulary) -> None:
         known = len(self._source)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -28,19 +29,19 @@ __all__ = [
     "decode_full",
 ]
 
-EOS = "</s>"
+# no token can equal it: tokens are the non-empty pieces of a whitespace split
+EOS = ""
 
 
 class Vocabulary:
-    """Shared target vocabulary; EOS sits at index 0, the rest is sorted.
+    """Shared target vocabulary: the given tokens and EOS, sorted.
 
-    Ties in combined scores break toward the lowest index, so EOS wins a
-    dead-even tie with any word.
+    EOS sorts first, to index 0. Ties in combined scores break toward the
+    lowest index, so EOS wins a dead-even tie with any word.
     """
 
     def __init__(self, tokens: Iterable[str]):
-        words = sorted(set(tokens) - {EOS})
-        self._tokens = [EOS] + words
+        self._tokens = sorted({EOS, *tokens})
         self._index = {tok: i for i, tok in enumerate(self._tokens)}
 
     def __len__(self) -> int:
@@ -141,7 +142,8 @@ class LocalAgreementState:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ContractError("agreement size must be at least 1")
-        self.recent = deque(self.recent, maxlen=self.n)
+        # a ring longer than a sentence's reads is never full: it commits at the Flush
+        self.recent = deque(self.recent, maxlen=min(self.n, sys.maxsize))
 
 
 def _common_prefix(seqs: Sequence[Sequence[str]]) -> list[str]:

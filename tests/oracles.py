@@ -417,7 +417,7 @@ def chi_square_quantile_99() -> float:
 
 # --- streaming engine -------------------------------------------------------
 
-REFERENCE_EOS = "</s>"  # the end-of-sentence token of the translator contract
+REFERENCE_EOS = ""  # the end-of-sentence marker of the translator contract
 
 
 class ReferenceVocabulary:

@@ -6,7 +6,8 @@ import pytest
 
 from multisimul import cli, noise
 from multisimul.cli import _run_system, main
-from multisimul.corpus import TokenSequence
+from multisimul.corpus import TokenSequence, load_transcript_pairs, load_word_alignment
+from multisimul.independence import analyze_independence
 from multisimul.mock_mt import LexiconTranslator
 from multisimul.noise import LexicalNoiseModel, save_model
 
@@ -325,6 +326,58 @@ class TestIndependenceCommand:
         assert "decision at alpha" in out
 
 
+# each flag's library parameter; the inputs differ in case and punctuation
+TRANSCRIPT_FLAGS = [
+    ("noise-train", "--keep-case", {"lowercase": False}),
+    ("noise-train", "--strip-punct", {"strip_punct": True}),
+    ("independence", "--keep-case", {"lowercase": False}),
+    ("independence", "--strip-punct", {"strip_punct": True}),
+    ("independence", "--yates", {"yates": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, kwargs", TRANSCRIPT_FLAGS, ids=[f"{c}{f}" for c, f, _ in TRANSCRIPT_FLAGS]
+)
+def test_flag_matches_library_parameter(tmp_path, capsys, command, flag, kwargs):
+    normalization = {k: v for k, v in kwargs.items() if k != "yates"}
+    if command == "noise-train":
+        _write(tmp_path / "gold.txt", ["The cat, sat", "a dog ran"])
+        _write(tmp_path / "asr.txt", ["the cat sat", "a dog an"])
+        outputs = []
+        for extra in ([], [flag]):
+            out = tmp_path / f"model{len(extra)}.tsv"
+            argv = ["noise-train", "--gold", str(tmp_path / "gold.txt"),
+                    "--asr", str(tmp_path / "asr.txt"), "--out", str(out), *extra]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        pairs = load_transcript_pairs(
+            tmp_path / "gold.txt", tmp_path / "asr.txt", **normalization
+        )
+        save_model(noise.train_noise_model(pairs), tmp_path / "expected.tsv")
+        assert outputs[1] == (tmp_path / "expected.tsv").read_bytes()
+    else:
+        argv = _independence_argv(
+            tmp_path, src_gold=["A b", "c d", "e f.", "g h"],
+            src_asr=["a b", "c X", "e f", "Y h"],
+        )
+        outputs = []
+        for extra in ([], [flag]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        pairs = [
+            load_transcript_pairs(tmp_path / f"{side}_gold.txt", tmp_path / f"{side}_asr.txt",
+                                  **normalization)
+            for side in ("src", "tgt")
+        ]
+        report = analyze_independence(
+            *pairs, load_word_alignment(tmp_path / "align.txt"),
+            yates=kwargs.get("yates", False),
+        )
+        assert outputs[1].endswith(report.summary() + "\n")
+    assert outputs[1] != outputs[0]
+
+
 class TestSimulateCommand:
     def test_multi_source_run(self, workspace, tmp_path, capsys):
         code = main(
@@ -404,6 +457,45 @@ class TestSimulateCommand:
         assert "1 of 3 sentences left out of AL (" in capsys.readouterr().err
         outputs = (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()
         assert outputs == [CS_LINES[0], "", CS_LINES[2]]
+
+    def test_eos_spelling_is_an_ordinary_word(self, workspace, tmp_path, capsys):
+        # a target and a source word spelled </s> stream like any other word
+        _write(workspace / "lex_en.tsv", [EN_LEXICON[0], "e02\t</s>", *EN_LEXICON[2:]])
+        _write(workspace / "lex_de.tsv", [EN_LEXICON[0], "e02\t</s>", *EN_LEXICON[2:]])
+        lines = [EN_LINES[0], "e07 </s> e01 e02"]
+        _write(workspace / "en.txt", lines)
+        _write(workspace / "de.txt", lines)
+        outputs = []
+        for langs in (["en"], ["en", "de"]):
+            out = tmp_path / f"out_{len(langs)}.txt"
+            code = main(
+                [
+                    "simulate",
+                    "--source", *(f"{lang}={workspace / f'{lang}.txt'}" for lang in langs),
+                    "--lexicon", *(f"{lang}={workspace / f'lex_{lang}.tsv'}" for lang in langs),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append(out.read_text(encoding="utf-8").splitlines())
+        assert outputs[0] == outputs[1] == ["c01 </s> c03 c04 c05 c06", "c07 </s> c01 </s>"]
+
+    def test_la_n_above_sys_maxsize(self, workspace, capsys):
+        # a ring that no sentence fills commits at the Flush, as --la-n 1000 does
+        printed = []
+        for la_n in (str(2**63), "1000"):
+            code = main(
+                [
+                    "simulate",
+                    "--source", f"en={workspace / 'en.txt'}", f"de={workspace / 'de.txt'}",
+                    "--lexicon", f"en={workspace / 'lex_en.tsv'}", f"de={workspace / 'lex_de.tsv'}",
+                    "--la-n", la_n,
+                    "--refs", str(workspace / "cs.txt"),
+                ]
+            )
+            assert code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_bad_utf8_lexicon_exit_code(self, workspace, capsys):
         (workspace / "lex_en.tsv").write_bytes(b"e01\tc01\n\xff\tc02\n")
@@ -532,6 +624,41 @@ class TestSweep:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    def test_noise_word_spelled_eos(self, workspace, capsys, monkeypatch):
+        # the noise model substitutes and inserts an ordinary word spelled </s>
+        model = LexicalNoiseModel(
+            p_insert=0.02,
+            p_delete=0.03,
+            p_substitute=0.05,
+            substitution_table={f"e{i:02d}": (("</s>", 1.0),) for i in range(1, 9)},
+            insertion_table=(("</s>", 1.0),),
+        )
+        save_model(model, workspace / "noise_en.tsv")
+        streamed, engine = [], cli.run_simul
+
+        def run_simul(translators, sources, n):
+            streamed.extend(s.tokens for s in sources.values())
+            return engine(translators, sources, n)
+
+        monkeypatch.setattr(cli, "run_simul", run_simul)
+        config = _sweep_config(workspace, wer_grid="0.3:0.3", la_grid="2", seeds="1")
+        assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "out")]) == 0
+        assert any("</s>" in tokens for tokens in streamed)
+        _, rows = _read_tsv(workspace / "out" / "results.tsv")
+        assert len(rows) == 3
+
+    def test_la_size_above_sys_maxsize(self, workspace, capsys):
+        # no sentence fills either ring, so both sizes commit at the Flush
+        config = _sweep_config(
+            workspace, wer_grid="0.1:0.1", la_grid="2,1000,100000000000000000000", seeds="1"
+        )
+        assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "out")]) == 0
+        _, rows = _read_tsv(workspace / "out" / "results.tsv")
+        scores = {}
+        for row in rows:
+            scores.setdefault(row["la_n"], []).append((row["bleu"], row["chrf2"], row["al"]))
+        assert scores["100000000000000000000"] == scores["1000"]
 
     def test_config_with_byte_order_mark(self, workspace, capsys):
         # a leading UTF-8 byte-order mark is not part of "version=1"
@@ -734,16 +861,6 @@ def _sweep_bad_model(prefix, line):
 
 def _repeated_lexicon_entry(path):
     _write(path / "lex_en.tsv", EN_LEXICON + ["e01\tc02"])
-    return path
-
-
-def _eos_lexicon_entry(path):
-    _write(path / "lex_en.tsv", [EN_LEXICON[0], "e02\t</s>", *EN_LEXICON[2:]])
-    return path
-
-
-def _eos_source_token(path):
-    _write(path / "en.txt", [EN_LINES[0], "e07 </s> e01 e02", *EN_LINES[2:]])
     return path
 
 
@@ -1030,50 +1147,6 @@ BAD_INPUTS = [
         ],
         2,
         "lex_en.tsv: line 9 repeats source word 'e01' of line 1",
-    ),
-    # the reserved end-of-sentence token would end a single-source run early
-    # but be outvoted in a multi-source one
-    (
-        "simulate-lexicon-eos-target",
-        lambda p: _simulate(_eos_lexicon_entry(p)),
-        2,
-        "lex_en.tsv: line 2 maps to the reserved token </s>",
-    ),
-    (
-        "sweep-lexicon-eos-target",
-        lambda p: [
-            "sweep", "--config", str(_sweep_config(_eos_lexicon_entry(p), "0.1:0.1", "2", "1")),
-            "--out-dir", str(p / "out"),
-        ],
-        2,
-        "lex_en.tsv: line 2 maps to the reserved token </s>",
-    ),
-    (
-        "simulate-source-eos-token",
-        lambda p: _simulate(_eos_source_token(p)),
-        2,
-        "en.txt: line 2 holds the reserved token </s>",
-    ),
-    (
-        "sweep-source-eos-token",
-        lambda p: [
-            "sweep", "--config", str(_sweep_config(_eos_source_token(p), "0.1:0.1", "2", "1")),
-            "--out-dir", str(p / "out"),
-        ],
-        2,
-        "en.txt: line 2 holds the reserved token </s>",
-    ),
-    (
-        "sweep-model-eos-substitution",
-        _sweep_bad_model("e02\t", "e02\t</s>\t1.0"),
-        2,
-        "noise_en.tsv: a substitution or insertion word is the reserved token </s>",
-    ),
-    (
-        "sweep-model-eos-insertion",
-        _sweep_bad_model("\t", "\t</s>\t1.0"),
-        2,
-        "noise_en.tsv: a substitution or insertion word is the reserved token </s>",
     ),
     (
         "simulate-source-and-lexicon-languages-differ",

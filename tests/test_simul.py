@@ -221,15 +221,17 @@ class TestRunSimul:
         assert [e.token for e in log.events if isinstance(e, WriteEvent)] == output
 
     def test_multi_identical_sources_match_single(self):
-        lex = {"a": "A", "b": "B", "c": "C"}
         source = TokenSequence.from_raw("a b c")
-        single, _ = run_simul({"en": LexiconTranslator(lex)}, {"en": source}, 2)
-        multi, _ = run_simul(
-            {"en": LexiconTranslator(lex), "de": LexiconTranslator(lex)},
-            {"en": source, "de": source},
-            2,
-        )
-        assert multi == single
+        # the end-of-sentence marker is outside the token alphabet, so a word
+        # spelled </s> ends neither a single- nor a multi-source hypothesis
+        for lex in ({"a": "A", "b": "B", "c": "C"}, {"a": "A", "b": "</s>", "c": "C"}):
+            single, _ = run_simul({"en": LexiconTranslator(lex)}, {"en": source}, 2)
+            multi, _ = run_simul(
+                {"en": LexiconTranslator(lex), "de": LexiconTranslator(lex)},
+                {"en": source, "de": source},
+                2,
+            )
+            assert multi == single == [lex[tok] for tok in source.tokens]
 
     def test_la_infinity_reads_all_then_flushes(self):
         translator = LexiconTranslator(IDENTITY_LEXICON)
@@ -328,8 +330,8 @@ def _translator_specs(draw):
 
 
 @st.composite
-def _streaming_cases(draw):
-    langs = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+def _streaming_cases(draw, max_langs=3):
+    langs = [f"l{i}" for i in range(draw(st.integers(1, max_langs)))]
     # the sources' mapping order breaks ties between reads; the members keep
     # ``langs`` order, so the two orders differ in many cases
     sources = {
@@ -398,12 +400,28 @@ class TestEngineOracle:
         assert decode_full(_build(specs), sources) == expected
 
 
+class TestLaAboveReadCount:
+    @given(_streaming_cases(max_langs=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_run_simul_equals_decode_full(self, case, data):
+        # the ring never fills before the last read, whose hypothesis is the
+        # offline one, so the Flush commits exactly decode_full's output
+        sources, specs, _ = case
+        reads = sum(len(s.tokens) for s in sources.values())
+        n = data.draw(st.one_of(st.integers(reads, reads + 3), st.just(2**63)))
+        online, _ = run_simul(_build(specs), sources, n)
+        assert online == decode_full(_build(specs), sources)
+
+
 class TestVocabulary:
     def test_eos_at_index_zero(self):
-        vocab = Vocabulary(["zebra", "apple", EOS])
-        assert vocab.token(0) == EOS
-        assert vocab.index(EOS) == 0
-        assert vocab.token(1) == "apple"
+        # the vocabulary adds EOS itself
+        for tokens in (["zebra", "apple", EOS], ["zebra", "apple"]):
+            vocab = Vocabulary(tokens)
+            assert len(vocab) == 3
+            assert vocab.token(0) == EOS
+            assert vocab.index(EOS) == 0
+            assert vocab.token(1) == "apple"
 
     def test_one_hot(self):
         vocab = Vocabulary(["b", "a"])
