@@ -33,10 +33,8 @@ from .noise import (
     train_noise_model,
 )
 from .simul import (
-    LocalAgreementState,
     SimulEventLog,
     decode_full,
-    la_step,
     late_average,
     run_simul,
     schedule_reads,

@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="BLEU/chrF2 and optional paired bootstrap")
     p.add_argument("--hyps", required=True)
-    p.add_argument("--refs", required=True, nargs="+")
+    p.add_argument("--refs", required=True, nargs="+", action="extend")
     p.add_argument("--compare", help="second system for paired bootstrap")
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -543,11 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("simulate", help="one streaming run over a corpus")
-    p.add_argument("--source", required=True, nargs="+", metavar="LANG=FILE")
-    p.add_argument("--lexicon", required=True, nargs="+", metavar="LANG=FILE")
+    p.add_argument("--source", required=True, nargs="+", action="extend", metavar="LANG=FILE")
+    p.add_argument("--lexicon", required=True, nargs="+", action="extend", metavar="LANG=FILE")
     p.add_argument("--la-n", type=int, default=2)
     p.add_argument("--primary")
-    p.add_argument("--refs", nargs="+")
+    p.add_argument("--refs", nargs="+", action="extend")
     p.add_argument("--out", help="write final outputs to this file")
     p.set_defaults(func=cmd_simulate)
 

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import _read_lines
-from .errors import InputError
+from .errors import ContractError, InputError
 from .simul import EOS, DecodeResult, Vocabulary
 
 __all__ = ["LexiconTranslator", "load_lexicon"]
@@ -57,6 +57,10 @@ class LexiconTranslator:
     """
 
     def __init__(self, lexicon: Mapping[str, str]):
+        # each side one token, as load_lexicon requires ("" is EOS)
+        for word in (*lexicon, *lexicon.values()):
+            if word.split() != [word]:
+                raise ContractError(f"lexicon entry {word!r} is not one token")
         self.lexicon = dict(lexicon)
         # hypothesis of the last source prefix under vocab; the scores end
         # with the EOS vector

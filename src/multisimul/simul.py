@@ -21,8 +21,6 @@ __all__ = [
     "WriteEvent",
     "FlushEvent",
     "SimulEventLog",
-    "LocalAgreementState",
-    "la_step",
     "schedule_reads",
     "late_average",
     "run_simul",
@@ -124,27 +122,6 @@ class SimulEventLog:
 
     events: list[Event] = field(default_factory=list)
 
-    def append(self, event: Event) -> None:
-        self.events.append(event)
-
-
-@dataclass
-class LocalAgreementState:
-    """Ring of the last n hypotheses plus the committed target prefix.
-
-    Every hypothesis in the ring extends ``committed``.
-    """
-
-    n: int
-    committed: list[str] = field(default_factory=list)
-    recent: deque = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ContractError("agreement size must be at least 1")
-        # a ring longer than a sentence's reads is never full: it commits at the Flush
-        self.recent = deque(self.recent, maxlen=min(self.n, sys.maxsize))
-
 
 def _common_prefix(seqs: Sequence[Sequence[str]]) -> list[str]:
     prefix: list[str] = []
@@ -153,20 +130,6 @@ def _common_prefix(seqs: Sequence[Sequence[str]]) -> list[str]:
             break
         prefix.append(position[0])
     return prefix
-
-
-def la_step(state: LocalAgreementState, new_hypothesis: Sequence[str]) -> list[str]:
-    """Push a hypothesis; commit the prefix all last n hypotheses agree on."""
-    hyp = list(new_hypothesis)
-    if hyp[: len(state.committed)] != state.committed:
-        raise ContractError("hypothesis does not extend the committed prefix")
-    state.recent.append(hyp)
-    if len(state.recent) < state.n:
-        return []
-    start = len(state.committed)
-    delta = _common_prefix([h[start:] for h in state.recent])
-    state.committed.extend(delta)
-    return delta
 
 
 def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[tuple[str, int]]:
@@ -298,35 +261,45 @@ def run_simul(
     """Stream all sources through a Local-Agreement-n policy.
 
     Single-source when one translator is given, multi-source late averaging
-    otherwise. Every Read is one LA-n update. At source exhaustion a Flush
-    commits the rest of the latest hypothesis. Committed output is
-    append-only: it is the log's Write tokens, in order. Translators are
-    given each source prefix as its token tuple.
+    otherwise. Every Read pushes one joint hypothesis into a ring of the last
+    n; once the ring is full, it commits the prefix that all n hypotheses
+    share beyond the committed output. At source exhaustion a Flush commits
+    the rest of the latest hypothesis. Committed output is append-only: it is
+    the log's Write tokens, in order. Translators are given each source prefix
+    as its token tuple.
     """
+    if n < 1:
+        raise ContractError("agreement size must be at least 1")
     vocab, max_new_tokens = _vocab_and_budget(translators, sources)
     schedule = schedule_reads(sources)
-    state = LocalAgreementState(n)
-    log = SimulEventLog()
+    # a ring longer than a sentence's reads is never full: it commits at the Flush
+    recent: deque[list[str]] = deque(maxlen=min(n, sys.maxsize))
+    committed: list[str] = []
+    events: list[Event] = []
     answers: dict[tuple, tuple[str, ...]] = {}
     prefixes: dict[str, tuple[str, ...]] = {lang: () for lang in sources}
-    last_hypothesis: list[str] = []
+    hypothesis: list[str] = []
 
     for k, (lang, i) in enumerate(schedule):
         tokens = sources[lang].tokens
         prefixes[lang] = tokens[: i + 1]
-        log.append(ReadEvent(lang, tokens[i]))
-        last_hypothesis = _joint_hypothesis(
-            translators, prefixes, state.committed, vocab, k == len(schedule) - 1,
+        events.append(ReadEvent(lang, tokens[i]))
+        # every hypothesis is a new list that extends ``committed``
+        hypothesis = _joint_hypothesis(
+            translators, prefixes, committed, vocab, k == len(schedule) - 1,
             answers, max_new_tokens,
         )
-        for token in la_step(state, last_hypothesis):
-            log.append(WriteEvent(token))
+        recent.append(hypothesis)
+        if len(recent) == n:
+            delta = _common_prefix([h[len(committed) :] for h in recent])
+            committed += delta
+            events += map(WriteEvent, delta)
 
-    log.append(FlushEvent())
-    for token in last_hypothesis[len(state.committed) :]:
-        log.append(WriteEvent(token))
-    state.committed.extend(last_hypothesis[len(state.committed) :])
-    return state.committed, log
+    events.append(FlushEvent())
+    delta = hypothesis[len(committed) :]
+    committed += delta
+    events += map(WriteEvent, delta)
+    return committed, SimulEventLog(events)
 
 
 def decode_full(

@@ -124,6 +124,18 @@ class TestScore:
             "bleu_bootstrap_p", "chrf2_bootstrap_p",
         ]
 
+    def test_repeated_refs_flag(self, tmp_path, capsys):
+        # a repeated --refs adds its references to the earlier ones
+        _write(tmp_path / "hyp.txt", CS_LINES[:3] + ["c09 c02"])
+        _write(tmp_path / "ref.txt", CS_LINES)
+        _write(tmp_path / "ref_b.txt", CS_LINES[1:] + ["c09 c02"])
+        hyps, ref, ref_b = (str(tmp_path / name) for name in ("hyp.txt", "ref.txt", "ref_b.txt"))
+        printed = []
+        for refs in (["--refs", ref, ref_b], ["--refs", ref, "--refs", ref_b], ["--refs", ref_b]):
+            assert main(["score", "--hyps", hyps, *refs]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] != printed[2]
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(
             ["score", "--hyps", str(tmp_path / "nope.txt"), "--refs", str(tmp_path / "nope.txt")]
@@ -398,6 +410,43 @@ class TestSimulateCommand:
         assert float(rows["bleu"]) == pytest.approx(100.0)
         assert float(rows["ne"]) == 0.0
         assert (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines() == CS_LINES
+
+    def test_repeated_flags_match_one_flag(self, workspace, tmp_path, capsys):
+        # each repeated --source, --lexicon or --refs adds to the earlier values
+        _write(workspace / "cs_b.txt", CS_LINES[1:] + CS_LINES[:1])
+        src = [f"{lang}={workspace / f'{lang}.txt'}" for lang in ("en", "de")]
+        lex = [f"{lang}={workspace / f'lex_{lang}.tsv'}" for lang in ("en", "de")]
+        refs = [str(workspace / "cs.txt"), str(workspace / "cs_b.txt")]
+        forms = {
+            "one": ["--source", *src, "--lexicon", *lex, "--refs", *refs],
+            "repeated": [
+                "--source", src[0], "--source", src[1],
+                "--lexicon", lex[0], "--lexicon", lex[1],
+                "--refs", refs[0], "--refs", refs[1],
+            ],
+        }
+        printed, written = [], []
+        for name, flags in forms.items():
+            out = tmp_path / f"out_{name}.txt"
+            assert main(["simulate", *flags, "--primary", "en", "--out", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+            written.append(out.read_bytes())
+        assert printed[0] == printed[1]
+        assert written[0] == written[1]
+
+    def test_language_repeated_across_flags_exit_code(self, workspace, capsys):
+        code = main(
+            [
+                "simulate",
+                "--source", f"en={workspace / 'en.txt'}",
+                "--source", f"en={workspace / 'de.txt'}",
+                "--lexicon", f"en={workspace / 'lex_en.tsv'}",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--source repeats language 'en'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("empty", ["en", "de"])
     def test_one_empty_source_left_out_of_latency(self, empty, capsys):

@@ -452,10 +452,7 @@ class TestCountingKernel:
 
 
 def _log(events):
-    log = SimulEventLog()
-    for e in events:
-        log.append(e)
-    return log
+    return SimulEventLog(list(events))
 
 
 class TestAverageLagging:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence
-from multisimul.errors import InputError
+from multisimul.errors import ContractError, InputError
 from multisimul.mock_mt import (
     KNOWN_MARGIN,
     UNKNOWN_MARGIN,
@@ -89,6 +89,19 @@ class TestLexiconTranslator:
             np.array_equal(x, y)
             for x, y in zip(first.step_scores, second.step_scores)
         )
+
+    @pytest.mark.parametrize(
+        "lexicon, word",
+        [
+            ({"a": "A", "b": "", "c": "C"}, "''"),  # EOS would end a multi-source run
+            ({"a": "A", "b": "X Y"}, "'X Y'"),  # two words in one engine token
+            ({"a": "A", "b c": "B"}, "'b c'"),  # a key no source token can equal
+        ],
+        ids=["empty_target", "two_word_target", "two_word_source"],
+    )
+    def test_entry_not_one_token(self, lexicon, word):
+        with pytest.raises(ContractError, match=f"^lexicon entry {word} is not one token$"):
+            LexiconTranslator(lexicon)
 
 
 class TestReorderingTranslator:

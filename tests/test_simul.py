@@ -13,13 +13,11 @@ from multisimul.simul import (
     EOS,
     DecodeResult,
     FlushEvent,
-    LocalAgreementState,
     ReadEvent,
     Vocabulary,
     WriteEvent,
     _common_prefix,
     decode_full,
-    la_step,
     late_average,
     run_simul,
     schedule_reads,
@@ -33,32 +31,50 @@ from oracles import (
     reference_token_offsets,
 )
 
+IDENTITY_LEXICON = {"a": "a", "b": "b", "c": "c"}
+
 
 class TestLocalAgreement:
-    def test_ring_not_full_commits_nothing(self):
-        state = LocalAgreementState(2)
-        assert la_step(state, ["a", "b", "c"]) == []
-        assert state.committed == []
-
     def test_common_prefix_committed(self):
-        state = LocalAgreementState(2)
-        la_step(state, ["a", "b", "c"])
-        assert la_step(state, ["a", "b", "d"]) == ["a", "b"]
-        assert state.committed == ["a", "b"]
+        # b reads as the guess <b?> until the last read, so LA-2 commits A
+        # after the second read and leaves B C, never the guess, to the Flush
+        translator = ReorderingTranslator({"a": "A", "b": "B", "c": "C"}, {"b"})
+        source = TokenSequence.from_raw("a b c")
+        output, log = run_simul({"en": translator}, {"en": source}, 2)
+        assert output == ["A", "B", "C"]
+        assert log.events == [
+            ReadEvent("en", "a"),
+            ReadEvent("en", "b"),
+            WriteEvent("A"),
+            ReadEvent("en", "c"),
+            FlushEvent(),
+            WriteEvent("B"),
+            WriteEvent("C"),
+        ]
 
     def test_commit_beyond_committed(self):
-        state = LocalAgreementState(2, committed=["a", "b"], recent=[["a", "b", "d", "e"]])
-        assert la_step(state, ["a", "b", "d", "f"]) == ["d"]
-        assert state.committed == ["a", "b", "d"]
-
-    def test_hypothesis_must_extend_committed(self):
-        state = LocalAgreementState(2, committed=["a"], recent=[["a", "b"]])
-        with pytest.raises(ContractError):
-            la_step(state, ["x", "y"])
+        # at the fourth read the ring holds only the last three hypotheses,
+        # and they are compared beyond the committed "a": b is committed
+        translator = LexiconTranslator(IDENTITY_LEXICON | {"d": "d"})
+        source = TokenSequence.from_raw("a b c d")
+        output, log = run_simul({"en": translator}, {"en": source}, 3)
+        assert output == ["a", "b", "c", "d"]
+        assert log.events == [
+            ReadEvent("en", "a"),
+            ReadEvent("en", "b"),
+            ReadEvent("en", "c"),
+            WriteEvent("a"),
+            ReadEvent("en", "d"),
+            WriteEvent("b"),
+            FlushEvent(),
+            WriteEvent("c"),
+            WriteEvent("d"),
+        ]
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ContractError):
-            LocalAgreementState(0)
+        translator = LexiconTranslator(IDENTITY_LEXICON)
+        with pytest.raises(ContractError, match="^agreement size must be at least 1$"):
+            run_simul({"en": translator}, {"en": TokenSequence.from_raw("a")}, 0)
 
     @given(st.data(), st.lists(st.sampled_from("abc"), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -198,9 +214,6 @@ class TestLateAverage:
         assert combined.dtype == expected.dtype
         assert combined.tobytes() == expected.tobytes()
         assert all(not np.shares_memory(combined, v) for v in vectors)
-
-
-IDENTITY_LEXICON = {"a": "a", "b": "b", "c": "c"}
 
 
 class TestRunSimul:
