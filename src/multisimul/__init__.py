@@ -34,7 +34,6 @@ from .noise import (
 )
 from .simul import (
     SimulEventLog,
-    decode_full,
     late_average,
     run_simul,
     schedule_reads,

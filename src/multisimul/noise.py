@@ -73,6 +73,8 @@ class LexicalNoiseModel:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ContractError(f"{name}={p} outside [0, 1]")
+        if not 0.0 <= self.scale_c < math.inf:
+            raise ContractError(f"scale_c={self.scale_c} outside [0, inf)")
         for word, dist in self.substitution_table.items():
             _check_distribution(dist, f"substitution[{word}]")
         _check_distribution(self.insertion_table, "insertion")

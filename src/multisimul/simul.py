@@ -24,7 +24,6 @@ __all__ = [
     "schedule_reads",
     "late_average",
     "run_simul",
-    "decode_full",
 ]
 
 # no token can equal it: tokens are the non-empty pieces of a whitespace split
@@ -172,20 +171,6 @@ def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _vocab_and_budget(
-    translators: Mapping[str, IncrementalTranslator],
-    sources: Mapping[str, TokenSequence],
-) -> tuple[Vocabulary, int]:
-    """The run's shared vocabulary and its cap on new tokens per hypothesis."""
-    if set(translators) != set(sources):
-        raise ContractError("translators and sources must cover the same languages")
-    tokens: set[str] = set()
-    for lang, translator in translators.items():
-        tokens |= translator.output_tokens(sources[lang].tokens)
-    max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
-    return Vocabulary(tokens), max_new_tokens
-
-
 def _joint_hypothesis(
     translators: Mapping[str, IncrementalTranslator],
     prefixes: Mapping[str, tuple[str, ...]],
@@ -215,6 +200,11 @@ def _joint_hypothesis(
     def query(m: int, target: Sequence[str]) -> DecodeResult:
         lang, decode, prefix, known = members[m]
         result = decode(prefix, target, vocab, final)
+        if len(result.step_scores) != len(result.tokens) + 1:
+            raise EngineError(
+                f"translator for {lang!r} returned {len(result.step_scores)} score "
+                f"vectors for {len(result.tokens)} tokens, not one per token plus EOS"
+            )
         key = (lang, known, tuple(target), final)
         if answers.setdefault(key, result.tokens) != result.tokens:
             raise EngineError(f"translator determinism violation for query {key[:3]}")
@@ -233,12 +223,6 @@ def _joint_hypothesis(
             if result is None:
                 result = results[m] = query(m, target)
                 cursors[m] = 0
-                if len(result.step_scores) != len(result.tokens) + 1:
-                    raise EngineError(
-                        f"translator for {members[m][0]!r} returned "
-                        f"{len(result.step_scores)} score vectors for "
-                        f"{len(result.tokens)} tokens, not one per token plus EOS"
-                    )
             vectors.append(result.step_scores[cursors[m]])
         token = token_at(late_average(vectors).argmax())
         if token == EOS:
@@ -266,13 +250,24 @@ def run_simul(
     share beyond the committed output. At source exhaustion a Flush commits
     the rest of the latest hypothesis. Committed output is append-only: it is
     the log's Write tokens, in order. Translators are given each source prefix
-    as its token tuple.
+    as its token tuple. An n above the read count never fills the ring, so
+    only the last read's hypothesis is built: ``run_simul(..., sys.maxsize)``
+    is offline decoding.
     """
     if n < 1:
         raise ContractError("agreement size must be at least 1")
-    vocab, max_new_tokens = _vocab_and_budget(translators, sources)
+    if set(translators) != set(sources):
+        raise ContractError("translators and sources must cover the same languages")
+    vocab = Vocabulary(
+        word
+        for lang, translator in translators.items()
+        for word in translator.output_tokens(sources[lang].tokens)
+    )
+    max_new_tokens = 2 * sum(len(s.tokens) for s in sources.values()) + 8
     schedule = schedule_reads(sources)
-    # a ring longer than a sentence's reads is never full: it commits at the Flush
+    # a ring longer than the reads never fills: the Flush commits the last
+    # read's hypothesis, the offline decode, and no earlier one is built
+    offline = n > len(schedule)
     recent: deque[list[str]] = deque(maxlen=min(n, sys.maxsize))
     committed: list[str] = []
     events: list[Event] = []
@@ -284,10 +279,12 @@ def run_simul(
         tokens = sources[lang].tokens
         prefixes[lang] = tokens[: i + 1]
         events.append(ReadEvent(lang, tokens[i]))
+        final = k == len(schedule) - 1
+        if offline and not final:
+            continue
         # every hypothesis is a new list that extends ``committed``
         hypothesis = _joint_hypothesis(
-            translators, prefixes, committed, vocab, k == len(schedule) - 1,
-            answers, max_new_tokens,
+            translators, prefixes, committed, vocab, final, answers, max_new_tokens
         )
         recent.append(hypothesis)
         if len(recent) == n:
@@ -300,15 +297,3 @@ def run_simul(
     committed += delta
     events += map(WriteEvent, delta)
     return committed, SimulEventLog(events)
-
-
-def decode_full(
-    translators: Mapping[str, IncrementalTranslator],
-    sources: Mapping[str, TokenSequence],
-) -> list[str]:
-    """Offline greedy decoding of complete sources (late-averaged when multi)."""
-    vocab, max_new_tokens = _vocab_and_budget(translators, sources)
-    return _joint_hypothesis(
-        translators, {lang: s.tokens for lang, s in sources.items()}, [], vocab, True,
-        {}, max_new_tokens,
-    )

@@ -991,6 +991,31 @@ BAD_INPUTS = [
         2,
         "noise_en.tsv: insertion row 'qfill' has probability nan outside [0, 1]",
     ),
+    # scale_c only records past rescaling, but noise-apply prints it
+    (
+        "noise-apply-model-scale-nan",
+        _noise_apply_bad_model("scale_c\t", "scale_c\tnan"),
+        2,
+        "noise_en.tsv: scale_c=nan outside [0, inf)",
+    ),
+    (
+        "noise-apply-model-scale-negative-inf",
+        _noise_apply_bad_model("scale_c\t", "scale_c\t-inf"),
+        2,
+        "noise_en.tsv: scale_c=-inf outside [0, inf)",
+    ),
+    (
+        "sweep-model-scale-nan",
+        _sweep_bad_model("scale_c\t", "scale_c\tnan"),
+        2,
+        "noise_en.tsv: scale_c=nan outside [0, inf)",
+    ),
+    (
+        "sweep-model-scale-negative-inf",
+        _sweep_bad_model("scale_c\t", "scale_c\t-inf"),
+        2,
+        "noise_en.tsv: scale_c=-inf outside [0, inf)",
+    ),
     (
         "sweep-model-out-of-range",
         _sweep_bad_model("p_delete\t", "p_delete\t1.5"),

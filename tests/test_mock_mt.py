@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from multisimul.mock_mt import (
     LexiconTranslator,
     load_lexicon,
 )
-from multisimul.simul import EOS, Vocabulary, decode_full, late_average, run_simul
+from multisimul.simul import EOS, Vocabulary, late_average, run_simul
 
 from conftest import ReorderingTranslator
 
@@ -74,7 +76,9 @@ class TestLexiconTranslator:
         en = LexiconTranslator({"w": "alpha"})
         de = LexiconTranslator({"w": "beta"})
         source = TokenSequence.from_raw("w")
-        output = decode_full({"en": en, "de": de}, {"en": source, "de": source})
+        output, _ = run_simul(
+            {"en": en, "de": de}, {"en": source, "de": source}, sys.maxsize
+        )
         # equal margins tie; "alpha" sorts before "beta" in the vocabulary
         assert output == ["alpha"]
 

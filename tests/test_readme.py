@@ -19,6 +19,7 @@ def test_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "['hello', 'world']"
     assert float(lines[1]) > 0  # the AL line
+    assert lines[2] == "['hello', 'world']"  # the offline decode
 
 
 def _cli_lines():

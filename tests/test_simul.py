@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from multisimul.simul import (
     Vocabulary,
     WriteEvent,
     _common_prefix,
-    decode_full,
     late_average,
     run_simul,
     schedule_reads,
@@ -32,6 +32,22 @@ from oracles import (
 )
 
 IDENTITY_LEXICON = {"a": "a", "b": "b", "c": "c"}
+
+
+class _Recording:
+    """Passes each ``decode`` call on and records its source prefix, forced
+    target and end-of-input flag."""
+
+    def __init__(self, translator):
+        self.translator = translator
+        self.calls = []
+
+    def output_tokens(self, source):
+        return self.translator.output_tokens(source)
+
+    def decode(self, source_prefix, forced_target, vocab, final=False):
+        self.calls.append((source_prefix, tuple(forced_target), final))
+        return self.translator.decode(source_prefix, forced_target, vocab, final)
 
 
 class TestLocalAgreement:
@@ -270,7 +286,7 @@ class TestRunSimul:
         lex = {"a": "A", "b": "B", "c": "C", "d": "D"}
         translator = LexiconTranslator(lex)
         source = TokenSequence.from_raw("a b d c")
-        offline = decode_full({"en": translator}, {"en": source})
+        offline, _ = run_simul({"en": translator}, {"en": source}, sys.maxsize)
         for n in (1, 2, 5):
             online, _ = run_simul({"en": translator}, {"en": source}, n)
             assert online == offline
@@ -297,9 +313,14 @@ class TestRunSimul:
                 {"en": Flaky(), "de": stable}, {"en": source, "de": source}, 5
             )
 
-    @pytest.mark.parametrize("vectors", [0, 1, 3])
-    def test_answer_without_one_eos_vector(self, vectors):
-        # one token must come with exactly two vectors: its own and EOS
+    @pytest.mark.parametrize(
+        "langs, vectors",
+        [(["en", "de"], 0), (["en", "de"], 1), (["en", "de"], 3), (["de"], 0)],
+        ids=["0", "1", "3", "single_source"],
+    )
+    def test_answer_without_one_eos_vector(self, langs, vectors):
+        # one token must come with exactly two vectors: its own and EOS, also
+        # when a single member's answer is taken without late averaging
         class Miscounted:
             def output_tokens(self, source):
                 return {"x", EOS}
@@ -308,9 +329,34 @@ class TestRunSimul:
                 return DecodeResult(("x",), (vocab.one_hot("x"),) * vectors)
 
         source = TokenSequence.from_raw("a")
-        stable = LexiconTranslator({"a": "x"})
+        translators = {lang: LexiconTranslator({"a": "x"}) for lang in langs}
+        translators["de"] = Miscounted()
         with pytest.raises(EngineError, match=f"'de' returned {vectors} score vectors for 1 tokens"):
-            run_simul({"en": stable, "de": Miscounted()}, {"en": source, "de": source}, 1)
+            run_simul(translators, {lang: source for lang in langs}, 1)
+
+    @pytest.mark.parametrize("n", [6, 2**63])
+    def test_above_read_count_decodes_once(self, n):
+        # five reads and a ring of more than five: only the last read, the
+        # offline query, is decoded
+        translator = _Recording(LexiconTranslator({"a": "A", "b": "B"}))
+        source = TokenSequence.from_raw("a b a b a")
+        output, _ = run_simul({"en": translator}, {"en": source}, n)
+        assert output == ["A", "B", "A", "B", "A"]
+        assert translator.calls == [(source.tokens, (), True)]
+
+    def test_above_read_count_queries_whole_sources(self):
+        # five reads and a ring of six: de dissents from the joint x and is
+        # queried again, and every query has the member's whole source
+        en = _Recording(LexiconTranslator({"a": "x", "b": "y"}))
+        de = _Recording(LexiconTranslator({"c": "y", "d": "x"}))
+        sources = {
+            "en": TokenSequence.from_raw("a b a"),
+            "de": TokenSequence.from_raw("c d"),
+        }
+        output, _ = run_simul({"en": en, "de": de}, sources, 6)
+        assert output == ["x"]
+        assert en.calls == [(("a", "b", "a"), (), True)]
+        assert de.calls == [(("c", "d"), (), True), (("c", "d"), ("x",), True)]
 
     def test_argument_errors(self):
         translator = LexiconTranslator(IDENTITY_LEXICON)
@@ -410,7 +456,7 @@ class TestEngineOracle:
     def test_decode_full_matches_reference(self, case):
         sources, specs, _ = case
         expected = reference_decode_full(_build_fresh(specs), sources)
-        assert decode_full(_build(specs), sources) == expected
+        assert run_simul(_build(specs), sources, sys.maxsize)[0] == expected
 
 
 class TestLaAboveReadCount:
@@ -418,12 +464,14 @@ class TestLaAboveReadCount:
     @settings(max_examples=200, deadline=None)
     def test_run_simul_equals_decode_full(self, case, data):
         # the ring never fills before the last read, whose hypothesis is the
-        # offline one, so the Flush commits exactly decode_full's output
+        # offline one, so the Flush commits exactly the offline decode; n equal
+        # to the read count keeps the ring path, a larger n builds only that
+        # last hypothesis
         sources, specs, _ = case
         reads = sum(len(s.tokens) for s in sources.values())
         n = data.draw(st.one_of(st.integers(reads, reads + 3), st.just(2**63)))
         online, _ = run_simul(_build(specs), sources, n)
-        assert online == decode_full(_build(specs), sources)
+        assert online == reference_decode_full(_build_fresh(specs), sources)
 
 
 class TestVocabulary:
