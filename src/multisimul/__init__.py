@@ -34,7 +34,6 @@ from .noise import (
 )
 from .simul import (
     SimulEventLog,
-    late_average,
     run_simul,
     schedule_reads,
 )

@@ -5,8 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import _read_lines
 from .errors import ContractError, InputError
 from .simul import EOS, DecodeResult, Vocabulary
@@ -52,8 +50,8 @@ class LexiconTranslator:
     last one is answered from the stored hypothesis, one that extends it only
     translates the new tokens, and a forced target that extends the last one
     only consumes the new tokens.
-    Answers share their score vectors, which are read-only. An instance is
-    not safe to share between threads.
+    Each step's vote is an ``(index, margin)`` tuple over the query's
+    vocabulary. An instance is not safe to share between threads.
     """
 
     def __init__(self, lexicon: Mapping[str, str]):
@@ -62,12 +60,12 @@ class LexiconTranslator:
             if word.split() != [word]:
                 raise ContractError(f"lexicon entry {word!r} is not one token")
         self.lexicon = dict(lexicon)
-        # hypothesis of the last source prefix under vocab; the scores end
-        # with the EOS vector
+        # hypothesis of the last source prefix under vocab; the votes end
+        # with the EOS vote
         self._source: tuple[str, ...] = ()
         self._vocab: Vocabulary | None = None
         self._tokens: tuple[str, ...] = ()
-        self._scores: tuple[np.ndarray, ...] = ()
+        self._scores: tuple[tuple[int, float], ...] = ()
         # the last forced target and where it left the hypothesis pointer
         self._forced: list[str] = []
         self._ptr = 0
@@ -89,11 +87,11 @@ class LexiconTranslator:
             tokens, scores = self._tokens, self._scores
         else:
             known, tokens = 0, ()
-            scores = (vocab.one_hot(EOS, KNOWN_MARGIN),)
+            scores = ((vocab.index(EOS), KNOWN_MARGIN),)
         entries = [self._translate(tok) for tok in source[known:]]
         scores = (
             scores[:-1]
-            + tuple(vocab.one_hot(tok, margin) for tok, margin in entries)
+            + tuple((vocab.index(tok), margin) for tok, margin in entries)
             + scores[-1:]
         )
         # stored only now: a token missing from the vocabulary raises above

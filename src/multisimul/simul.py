@@ -7,8 +7,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .corpus import TokenSequence
 from .errors import ContractError, EngineError
 
@@ -22,7 +20,6 @@ __all__ = [
     "FlushEvent",
     "SimulEventLog",
     "schedule_reads",
-    "late_average",
     "run_simul",
 ]
 
@@ -41,33 +38,25 @@ class Vocabulary:
         self._tokens = sorted({EOS, *tokens})
         self._index = {tok: i for i, tok in enumerate(self._tokens)}
 
-    def __len__(self) -> int:
-        return len(self._tokens)
-
     def index(self, token: str) -> int:
         return self._index[token]
 
     def token(self, index: int) -> str:
         return self._tokens[index]
 
-    def one_hot(self, token: str, margin: float = 1.0) -> np.ndarray:
-        """A read-only score vector: ``margin`` at ``token``, 0 elsewhere."""
-        vec = np.zeros(len(self._tokens))
-        vec[self._index[token]] = margin
-        vec.flags.writeable = False
-        return vec
-
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Greedy continuation beyond the forced prefix plus per-step score vectors.
+    """Greedy continuation beyond the forced prefix plus one vote per step.
 
-    ``step_scores`` holds one vector per continuation token, followed by the
-    end-of-sentence vector.
+    ``step_scores`` holds one vote per continuation token, followed by the
+    end-of-sentence vote. A vote is an ``(index, score)`` pair over the run's
+    vocabulary; a token without a vote scores 0, so with positive scores the
+    joint choice is the argmax of the dense vectors the votes stand for.
     """
 
     tokens: tuple[str, ...]
-    step_scores: tuple[np.ndarray, ...]
+    step_scores: tuple[tuple[int, float], ...]
 
 
 class IncrementalTranslator(Protocol):
@@ -75,11 +64,16 @@ class IncrementalTranslator(Protocol):
 
     ``decode`` answers the same query the same way within a run, and it is
     greedy-consistent: if ``decode(source, forced, vocab, final)`` returns
-    continuation ``t`` with score vectors ``s``, then forcing its own next
-    token, ``decode(source, [*forced, t[0]], vocab, final)``, returns
-    ``t[1:]`` and ``s[1:]``. The multi-source engine relies
-    on this: a member whose next token is the joint choice is not decoded
-    again, only the members that dissent are.
+    continuation ``t`` with votes ``s``, then forcing its own next token,
+    ``decode(source, [*forced, t[0]], vocab, final)``, returns ``t[1:]`` and
+    ``s[1:]``. The multi-source engine relies on this: a member whose next
+    token is the joint choice is not decoded again, only the members that
+    dissent are.
+
+    At each step the engine sums the members' scores per vocabulary index.
+    The highest sum wins, and an exact tie goes to the lowest index (EOS
+    first). Only voted tokens compete: when every score is positive, this is
+    the argmax of the members' averaged dense score vectors.
     """
 
     def decode(
@@ -152,25 +146,6 @@ def schedule_reads(sources: Mapping[str, TokenSequence]) -> list[tuple[str, int]
     return [(lang, i) for _, _, i, lang in slots]
 
 
-def late_average(step_scores: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise arithmetic mean of member score vectors."""
-    if not step_scores:
-        raise ContractError("late_average needs at least one score vector")
-    dim = len(step_scores[0])
-    for vector in step_scores:
-        if len(vector) != dim:
-            dims = sorted({len(v) for v in step_scores})
-            raise ContractError(f"score vector dimensions differ: {dims}")
-    # np.mean of the stacked vectors, bit for bit: np.add.reduce over axis 0
-    # adds the rows one after another to +0.0 (so -0.0 comes out as +0.0),
-    # then the sum is divided by the count
-    total = np.add(0.0, step_scores[0], dtype=float)
-    for vector in step_scores[1:]:
-        total += vector
-    total /= len(step_scores)
-    return total
-
-
 def _joint_hypothesis(
     translators: Mapping[str, IncrementalTranslator],
     prefixes: Mapping[str, tuple[str, ...]],
@@ -180,15 +155,15 @@ def _joint_hypothesis(
     answers: dict[tuple, tuple[str, ...]],
     max_new_tokens: int,
 ) -> list[str]:
-    """One greedy hypothesis from all members via stepwise late averaging.
+    """One greedy hypothesis from all members via stepwise vote sums.
 
     ``answers`` holds the run's first answer to each query: a translator that
     answers the same query differently within a run is an ``EngineError``.
     Each member's last answer is read with a cursor. After a joint token, a
     member whose own next token it was moves its cursor on (by greedy
     consistency that is what a new query would answer); the others are
-    queried again at the next step. An answer ends with its EOS vector, so a
-    cursor on a token always has a vector after it.
+    queried again at the next step. An answer ends with its EOS vote, so a
+    cursor on a token always has a vote after it.
     """
     # each member's language, decode method and source prefix with its length,
     # looked up once for all of the call's queries
@@ -202,8 +177,8 @@ def _joint_hypothesis(
         result = decode(prefix, target, vocab, final)
         if len(result.step_scores) != len(result.tokens) + 1:
             raise EngineError(
-                f"translator for {lang!r} returned {len(result.step_scores)} score "
-                f"vectors for {len(result.tokens)} tokens, not one per token plus EOS"
+                f"translator for {lang!r} returned {len(result.step_scores)} scores "
+                f"for {len(result.tokens)} tokens, not one per token plus EOS"
             )
         key = (lang, known, tuple(target), final)
         if answers.setdefault(key, result.tokens) != result.tokens:
@@ -218,13 +193,17 @@ def _joint_hypothesis(
     cursors = [0] * len(members)
     token_at = vocab.token
     for _ in range(max_new_tokens):
-        vectors = []
+        # each index's scores added in member order, starting from 0.0
+        totals: dict[int, float] = {}
         for m, result in enumerate(results):
             if result is None:
                 result = results[m] = query(m, target)
                 cursors[m] = 0
-            vectors.append(result.step_scores[cursors[m]])
-        token = token_at(late_average(vectors).argmax())
+            index, score = result.step_scores[cursors[m]]
+            totals[index] = totals.get(index, 0.0) + score
+        # the highest sum wins; an exact tie goes to the lowest index (EOS is 0)
+        top = max(totals.values())
+        token = token_at(min(index for index, total in totals.items() if total == top))
         if token == EOS:
             break
         target.append(token)
@@ -245,7 +224,7 @@ def run_simul(
     """Stream all sources through a Local-Agreement-n policy.
 
     Single-source when one translator is given, multi-source late averaging
-    otherwise. Every Read pushes one joint hypothesis into a ring of the last
+    (a per-step sum of member votes) otherwise. Every Read pushes one joint hypothesis into a ring of the last
     n; once the ring is full, it commits the prefix that all n hypotheses
     share beyond the committed output. At source exhaustion a Flush commits
     the rest of the latest hypothesis. Committed output is append-only: it is

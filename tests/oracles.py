@@ -421,23 +421,22 @@ REFERENCE_EOS = ""  # the end-of-sentence marker of the translator contract
 
 
 class ReferenceVocabulary:
-    """EOS at index 0, the other tokens sorted; one-hot vectors on demand."""
+    """EOS at index 0, the other tokens sorted."""
 
     def __init__(self, tokens):
         self.tokens = [REFERENCE_EOS] + sorted(set(tokens) - {REFERENCE_EOS})
         self._index = {tok: i for i, tok in enumerate(self.tokens)}
 
-    def __len__(self):
-        return len(self.tokens)
-
-    def one_hot(self, token, margin=1.0):
-        vec = np.zeros(len(self.tokens))
-        vec[self._index[token]] = margin
-        return vec
+    def index(self, token):
+        return self._index[token]
 
 
 def _reference_joint(translators, prefixes, committed, vocab, final, max_new):
-    """Greedy late averaging that queries every member at every target step."""
+    """Greedy late averaging that queries every member at every target step.
+
+    Each member's vote is spread into a dense score vector of its own, and the
+    joint token is the first maximum of the per-column means.
+    """
     langs = list(translators)
     if len(langs) == 1:
         result = translators[langs[0]].decode(prefixes[langs[0]], list(committed), vocab, final)
@@ -447,7 +446,10 @@ def _reference_joint(translators, prefixes, committed, vocab, final, max_new):
         vectors = []
         for lang in langs:
             result = translators[lang].decode(prefixes[lang], list(target), vocab, final)
-            vectors.append([float(x) for x in result.step_scores[0]])
+            index, score = result.step_scores[0]
+            vector = [0.0] * len(vocab.tokens)
+            vector[index] = float(score)
+            vectors.append(vector)
         combined = [sum(column) / len(column) for column in zip(*vectors)]
         best = combined.index(max(combined))  # first maximum: EOS wins ties
         if best == 0:

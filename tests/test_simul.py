@@ -1,15 +1,14 @@
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisimul.corpus import TokenSequence
 from multisimul.errors import ContractError, EngineError
 from multisimul.metrics import average_lagging, normalized_erasure
-from multisimul.mock_mt import LexiconTranslator
+from multisimul.mock_mt import KNOWN_MARGIN, UNKNOWN_MARGIN, LexiconTranslator
 from multisimul.simul import (
     EOS,
     DecodeResult,
@@ -18,7 +17,6 @@ from multisimul.simul import (
     Vocabulary,
     WriteEvent,
     _common_prefix,
-    late_average,
     run_simul,
     schedule_reads,
 )
@@ -175,63 +173,6 @@ class TestScheduleReads:
             schedule_reads({})
 
 
-class TestLateAverage:
-    def test_single_member_identity(self):
-        vec = np.array([0.2, 0.8])
-        assert np.array_equal(late_average([vec]), vec)
-
-    def test_two_members(self):
-        combined = late_average([np.array([2.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])])
-        assert combined.tolist() == [1.0, 0.5, 1.5]
-        assert int(np.argmax(combined)) == 2
-
-    def test_identical_members_keep_argmax(self):
-        vec = np.array([0.1, 0.7, 0.2])
-        combined = late_average([vec, vec, vec])
-        assert int(np.argmax(combined)) == int(np.argmax(vec))
-
-    def test_shift_invariance_of_argmax(self):
-        members = [np.array([2.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0])]
-        shifted = [m + 5.0 for m in members]
-        assert int(np.argmax(late_average(members))) == int(
-            np.argmax(late_average(shifted))
-        )
-
-    def test_errors(self):
-        with pytest.raises(ContractError, match=r"^late_average needs at least one score vector$"):
-            late_average([])
-        with pytest.raises(ContractError, match=r"^score vector dimensions differ: \[2, 3\]$"):
-            late_average([np.zeros(3), np.zeros(2), np.zeros(3)])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from([np.float64, np.float32, np.int64]),
-                st.lists(
-                    st.tuples(st.floats(-1, 1), st.integers(-8, 8)), min_size=4, max_size=4
-                ),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    # numpy's sum starts from +0.0, so a column of -0.0 averages to +0.0
-    @example([(np.float64, [(-0.0, 0)] * 4)])
-    @example([(np.float64, [(-0.0, 0)] * 4)] * 3)
-    @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_stacked_mean(self, members):
-        # vectors of mixed dtypes whose entries span magnitudes 1e-8 to 1e8
-        vectors = [
-            np.array([m * 10.0**e for m, e in entries]).astype(dtype)
-            for dtype, entries in members
-        ]
-        expected = np.add.reduce(np.asarray(vectors, dtype=float), axis=0) / len(vectors)
-        combined = late_average(vectors)
-        assert combined.dtype == expected.dtype
-        assert combined.tobytes() == expected.tobytes()
-        assert all(not np.shares_memory(combined, v) for v in vectors)
-
-
 class TestRunSimul:
     def test_identity_la2_hand_trace(self):
         translator = LexiconTranslator(IDENTITY_LEXICON)
@@ -302,7 +243,8 @@ class TestRunSimul:
             def decode(self, source_prefix, forced_target, vocab, final=False):
                 self.calls += 1
                 token = "x" if self.calls % 2 else "y"
-                return DecodeResult((token,), (vocab.one_hot(token), vocab.one_hot(EOS)))
+                votes = ((vocab.index(token), 1.0), (vocab.index(EOS), 1.0))
+                return DecodeResult((token,), votes)
 
         # in multi mode the engine re-asks the same (prefix, forced) query
         # across rounds, which is where flakiness becomes observable
@@ -314,24 +256,24 @@ class TestRunSimul:
             )
 
     @pytest.mark.parametrize(
-        "langs, vectors",
+        "langs, votes",
         [(["en", "de"], 0), (["en", "de"], 1), (["en", "de"], 3), (["de"], 0)],
         ids=["0", "1", "3", "single_source"],
     )
-    def test_answer_without_one_eos_vector(self, langs, vectors):
-        # one token must come with exactly two vectors: its own and EOS, also
-        # when a single member's answer is taken without late averaging
+    def test_answer_without_one_eos_vector(self, langs, votes):
+        # one token must come with exactly two votes: its own and EOS, also
+        # when a single member's answer is taken without summing votes
         class Miscounted:
             def output_tokens(self, source):
                 return {"x", EOS}
 
             def decode(self, source_prefix, forced_target, vocab, final=False):
-                return DecodeResult(("x",), (vocab.one_hot("x"),) * vectors)
+                return DecodeResult(("x",), ((vocab.index("x"), 1.0),) * votes)
 
         source = TokenSequence.from_raw("a")
         translators = {lang: LexiconTranslator({"a": "x"}) for lang in langs}
         translators["de"] = Miscounted()
-        with pytest.raises(EngineError, match=f"'de' returned {vectors} score vectors for 1 tokens"):
+        with pytest.raises(EngineError, match=f"'de' returned {votes} scores for 1 tokens"):
             run_simul(translators, {lang: source for lang in langs}, 1)
 
     @pytest.mark.parametrize("n", [6, 2**63])
@@ -370,6 +312,24 @@ class TestRunSimul:
         final, log = run_simul(translators, sources, 2)
         assert final == []
         assert log.events == [FlushEvent()]
+
+
+class TestVoteSum:
+    @pytest.mark.parametrize(
+        "copiers, translation, expected",
+        [(2, "a", "a"), (2, "z", "w"), (3, "a", "w"), (3, "z", "w")],
+    )
+    def test_copies_against_a_translation(self, copiers, translation, expected):
+        # each copier votes for the unknown word w at UNKNOWN_MARGIN, the last
+        # member for its translation at KNOWN_MARGIN: two copies tie with the
+        # translation exactly, and the word that sorts first wins; three
+        # copies sum to 1.5 and win even when w sorts last
+        assert UNKNOWN_MARGIN + UNKNOWN_MARGIN == KNOWN_MARGIN
+        members = {f"copy{i}": LexiconTranslator({}) for i in range(copiers)}
+        members["lex"] = LexiconTranslator({"w": translation})
+        source = TokenSequence.from_raw("w")
+        output, _ = run_simul(members, {lang: source for lang in members}, sys.maxsize)
+        assert output == [expected]
 
 
 SOURCE_WORDS = ["a", "bb", "c", "ddd", "e"]
@@ -479,18 +439,6 @@ class TestVocabulary:
         # the vocabulary adds EOS itself
         for tokens in (["zebra", "apple", EOS], ["zebra", "apple"]):
             vocab = Vocabulary(tokens)
-            assert len(vocab) == 3
             assert vocab.token(0) == EOS
             assert vocab.index(EOS) == 0
             assert vocab.token(1) == "apple"
-
-    def test_one_hot(self):
-        vocab = Vocabulary(["b", "a"])
-        vec = vocab.one_hot("a", margin=0.5)
-        assert vec[vocab.index("a")] == 0.5
-        assert vec.sum() == 0.5
-        # answers may share a vector, so none can be changed in place
-        assert not vec.flags.writeable
-        with pytest.raises(ValueError):
-            vec[0] = 1.0
-
