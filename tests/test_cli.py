@@ -1,4 +1,7 @@
+import concurrent.futures
 import hashlib
+import multiprocessing
+import os
 import statistics
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from multisimul import cli, noise
 from multisimul.cli import _run_system, main
 from multisimul.corpus import TokenSequence, load_transcript_pairs, load_word_alignment
+from multisimul.errors import EngineError
 from multisimul.independence import analyze_independence
 from multisimul.mock_mt import LexiconTranslator
 from multisimul.noise import LexicalNoiseModel, save_model
@@ -691,6 +695,8 @@ class TestSweep:
             return engine(translators, sources, n)
 
         monkeypatch.setattr(cli, "run_simul", run_simul)
+        # in-process, so that the runs append to this process's list
+        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 1)
         config = _sweep_config(workspace, wer_grid="0.3:0.3", la_grid="2", seeds="1")
         assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "out")]) == 0
         assert any("</s>" in tokens for tokens in streamed)
@@ -818,6 +824,76 @@ class TestSweep:
         assert digests == expected
         _, summary = _read_tsv(out_dir / "summary.tsv")
         assert [row["la_n"] for row in summary[:2]] == ["10", "2"]  # text order
+
+
+class TestSweepPool:
+    """The sweep's rows run in a process pool; its worker count changes no byte."""
+
+    @staticmethod
+    def _sweep(workspace, out_dir):
+        config = _sweep_config(workspace, wer_grid="0.1:0.1,0.2:0.3", la_grid="2,5", seeds="1,2")
+        return main(["sweep", "--config", str(config), "--out-dir", str(out_dir)])
+
+    def test_worker_count_changes_no_byte(self, workspace, capsys, monkeypatch):
+        _write(workspace / "en.txt", [EN_LINES[0], "", *EN_LINES[2:]])
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_sweep_workers", lambda units, n=workers: n)
+            out_dir = workspace / f"out{workers}"
+            assert self._sweep(workspace, out_dir) == 0
+            assert multiprocessing.active_children() == []
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            runs[workers] = files, capsys.readouterr().err
+        assert runs[1] == runs[2]
+        files, err = runs[1]
+        assert len(files) == 4
+        assert "left out of AL" in err
+        first = err.splitlines()[:2]
+        assert first[0] == "cell=(0.1, 0.1) seed=1 la_n=2 system=en"
+        assert first[1].endswith("left out of AL (empty primary source or empty output)")
+
+    def test_unit_error_in_worker_exit_code(self, workspace, capsys, monkeypatch):
+        def run_simul(translators, sources, n):
+            raise EngineError("engine broke")
+
+        monkeypatch.setattr(cli, "run_simul", run_simul)
+        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 2)
+        assert self._sweep(workspace, workspace / "out") == 4
+        err = capsys.readouterr().err
+        assert "contract error: engine broke" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_exit_code(self, workspace, capsys, monkeypatch):
+        parent, engine = os.getpid(), cli.run_simul
+
+        def run_simul(translators, sources, n):
+            if os.getpid() != parent:
+                os._exit(3)
+            return engine(translators, sources, n)
+
+        monkeypatch.setattr(cli, "run_simul", run_simul)
+        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 2)
+        out_dir = workspace / "out"
+        assert self._sweep(workspace, out_dir) == 1
+        err = capsys.readouterr().err
+        assert "error: a sweep worker ended without a result" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_runs_in_process(self, workspace, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep on one CPU made a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert self._sweep(workspace, workspace / "out") == 0
+
+    @pytest.mark.parametrize("cpus, units, workers", [(4, 3, 3), (2, 24, 2), (1, 3, 1)])
+    def test_one_worker_per_cpu_and_unit(self, monkeypatch, cpus, units, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli._sweep_workers([None] * units) == workers
 
 
 def _simulate(path, source=("en.txt",), lexicon=("lex_en.tsv",)):
