@@ -6,7 +6,6 @@ import argparse
 import contextlib
 import io
 import math
-import os
 import re
 import statistics
 import sys
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .independence import analyze_independence
 from .mock_mt import LexiconTranslator, load_lexicon
+from .pool import ordered_map
 from .simul import run_simul
 
 __all__ = ["main"]
@@ -74,6 +74,26 @@ def _write_tsv(path: Path, rows: Iterable[Sequence[str]]) -> None:
     path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
 
 
+CORPUS_METRICS = ("bleu", "chrf2")  # each names its function in metrics
+
+
+def _score_rows(
+    inputs: tuple[list[str], list[str] | None, list[list[str]], int, int], metric: str
+) -> tuple[tuple[str, ...], ...]:
+    """The metric's score row and, with a second system, its bootstrap row."""
+    hyps, sys_b, refs, resamples, seed = inputs
+    if sys_b is None:
+        return ((metric, f"{getattr(metrics, metric)(hyps, refs):.4f}"),)
+    result = metrics.paired_bootstrap(
+        hyps, sys_b, refs, metric=metric, resamples=resamples, seed=seed
+    )
+    # the bootstrap's own statistics also give system A's corpus score
+    return (
+        (metric, f"{result.score_a:.4f}"),
+        (f"{metric}_bootstrap_p", f"{result.p_value:.4f}", str(result.seed)),
+    )
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     compare = [] if args.compare is None else [args.compare]
     if compare and args.resamples < 100:
@@ -84,25 +104,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     sys_b = refs.pop() if compare else None
     if not hyps:
         raise InputError(f"{args.hyps} has no segments to score")
-    if sys_b is None:
-        scores = {"bleu": metrics.bleu(hyps, refs), "chrf2": metrics.chrf2(hyps, refs)}
-        p_rows = []
-    else:
-        # the bootstrap's own statistics also give system A's corpus scores
-        results = {
-            metric: metrics.paired_bootstrap(
-                hyps, sys_b, refs, metric=metric,
-                resamples=args.resamples, seed=args.seed,
-            )
-            for metric in ("bleu", "chrf2")
-        }
-        scores = {metric: result.score_a for metric, result in results.items()}
-        p_rows = [
-            (f"{metric}_bootstrap_p", f"{result.p_value:.4f}", str(result.seed))
-            for metric, result in results.items()
-        ]
-    for row in [(metric, f"{score:.4f}") for metric, score in scores.items()] + p_rows:
-        print("\t".join(row))
+    inputs = (hyps, sys_b, refs, args.resamples, args.seed)
+    # the score rows of every metric, then their bootstrap rows
+    for rows in zip(*ordered_map(_score_rows, inputs, CORPUS_METRICS)):
+        for row in rows:
+            print("\t".join(row))
     return 0
 
 
@@ -442,70 +448,6 @@ def _sweep_unit(inputs: _SweepInputs, unit: _SweepUnit) -> tuple[SweepRow, str]:
     return SweepRow(cell, system, la_n, seed, *(round(v, 4) for v in scores)), err.getvalue()
 
 
-# a pool worker's inputs, set by _share_sweep_inputs when the worker starts
-_worker_inputs: _SweepInputs | None = None
-
-
-def _share_sweep_inputs(inputs: _SweepInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _pooled_sweep_unit(unit: _SweepUnit) -> tuple[SweepRow, str]:
-    return _sweep_unit(_worker_inputs, unit)
-
-
-def _sweep_workers(units: Sequence[_SweepUnit]) -> int:
-    """One worker per CPU the process may run on, and no more than units."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(units))
-
-
-def _sweep_rows(inputs: _SweepInputs, units: list[_SweepUnit]) -> list[SweepRow]:
-    """Runs the units and returns their rows in unit order.
-
-    Each row's progress line, then what its run wrote to stderr, go to stderr
-    as the row is done, in unit order, so stderr and the rows are the same
-    for any worker count.
-    """
-
-    def collect(results: Iterable[tuple[SweepRow, str]]) -> list[SweepRow]:
-        rows = []
-        for row, err in results:
-            _progress(f"cell={row.cell} seed={row.seed} la_n={row.la_n} system={row.system}")
-            sys.stderr.write(err)
-            rows.append(row)
-        return rows
-
-    workers = _sweep_workers(units)
-    if workers == 1:
-        return collect(_sweep_unit(inputs, unit) for unit in units)
-    # imported here, not at the top, because importing the pool's modules
-    # would add 11-16 ms and 1.2 MiB of resident memory to every command's
-    # start-up (Python 3.11, 2-vCPU VM)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork, so each worker starts with the inputs already in memory, and none
-    # is pickled; the sweep starts no thread before it, and the executor starts
-    # its own thread only after the workers are forked
-    executor = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_share_sweep_inputs,
-        initargs=(inputs,),
-    )
-    try:
-        return collect(executor.map(_pooled_sweep_unit, units))
-    except BrokenProcessPool:
-        # a worker was killed (a signal, the out-of-memory killer) or exited
-        raise MultisimulError("a sweep worker ended without a result") from None
-    finally:
-        executor.shutdown(cancel_futures=True)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = _check_output(args.out_dir, "--out-dir", directory=True)
     config = _load_sweep_config(Path(args.config))
@@ -549,7 +491,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for la_n in config.la_grid
         for system in systems
     ]
-    rows = _sweep_rows(inputs, units)
+    rows = []
+    # each row's progress line, then what its run wrote to stderr, as the row
+    # is done and in unit order, so stderr is the same for any worker count
+    for row, err in ordered_map(_sweep_unit, inputs, units):
+        _progress(f"cell={row.cell} seed={row.seed} la_n={row.la_n} system={row.system}")
+        sys.stderr.write(err)
+        rows.append(row)
 
     _write_sweep(out_dir, config.languages, rows)
     print(f"wrote {len(rows)} result rows to {out_dir / 'results.tsv'}")

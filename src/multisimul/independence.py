@@ -14,12 +14,40 @@ from .metrics import (
     chi_square_2x2,
     token_correctness,
 )
+from .pool import ordered_map
 
 __all__ = [
     "IndependenceReport",
     "build_contingency",
     "analyze_independence",
 ]
+
+
+# sentence pairs per contingency chunk; the chunks run on the process pool,
+# and an input of one chunk runs in the calling process. Pairs are
+# independent, so the chunking changes no count
+_CONTINGENCY_CHUNK_PAIRS = 256
+
+
+def _chunk_cells(
+    inputs: tuple[Sequence[TranscriptPair], Sequence[TranscriptPair], Sequence[Alignment]],
+    chunk: range,
+) -> list[int]:
+    """The contingency counts, row-major, of the sentence pairs in ``chunk``."""
+    src_pairs, tgt_pairs, alignments = inputs
+    cells = [0, 0, 0, 0]
+    for idx in chunk:
+        src, tgt = src_pairs[idx], tgt_pairs[idx]
+        src_ok = token_correctness(align_edit(src.gold, src.hyp))
+        tgt_ok = token_correctness(align_edit(tgt.gold, tgt.hyp))
+        for i, j in sorted(alignments[idx]):
+            if i >= len(src_ok) or j >= len(tgt_ok):
+                raise AlignmentMismatchError(
+                    f"sentence {idx}: alignment link ({i},{j}) out of range "
+                    f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
+                )
+            cells[2 * (not src_ok[i]) + (not tgt_ok[j])] += 1
+    return cells
 
 
 def build_contingency(
@@ -30,25 +58,21 @@ def build_contingency(
     """Cross-tabulate per-link correctness of the two ASR streams.
 
     Every alignment link contributes one count; correctness attaches to gold
-    tokens of each stream.
+    tokens of each stream. A link out of range raises for the first sentence,
+    in input order, that has one.
     """
     if not len(src_pairs) == len(tgt_pairs) == len(alignments):
         raise ContractError(
             f"sentence counts differ: src={len(src_pairs)}, tgt={len(tgt_pairs)}, "
             f"alignments={len(alignments)}"
         )
-    cells = [[0, 0], [0, 0]]
-    for idx, (src, tgt, links) in enumerate(zip(src_pairs, tgt_pairs, alignments)):
-        src_ok = token_correctness(align_edit(src.gold, src.hyp))
-        tgt_ok = token_correctness(align_edit(tgt.gold, tgt.hyp))
-        for i, j in sorted(links):
-            if i >= len(src_ok) or j >= len(tgt_ok):
-                raise AlignmentMismatchError(
-                    f"sentence {idx}: alignment link ({i},{j}) out of range "
-                    f"for gold lengths ({len(src_ok)},{len(tgt_ok)})"
-                )
-            cells[0 if src_ok[i] else 1][0 if tgt_ok[j] else 1] += 1
-    return Contingency2x2(((cells[0][0], cells[0][1]), (cells[1][0], cells[1][1])))
+    n, step = len(alignments), _CONTINGENCY_CHUNK_PAIRS
+    chunks = [range(start, min(start + step, n)) for start in range(0, n, step)]
+    cells = [0, 0, 0, 0]
+    for counts in ordered_map(_chunk_cells, (src_pairs, tgt_pairs, alignments), chunks):
+        cells = [total + count for total, count in zip(cells, counts)]
+    cc, ci, ic, ii = cells
+    return Contingency2x2(((cc, ci), (ic, ii)))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import os
+import random
 import statistics
 
 import numpy as np
 import pytest
 
-from multisimul import cli, noise
+from multisimul import cli, independence, metrics, noise, pool
 from multisimul.cli import _run_system, main
 from multisimul.corpus import TokenSequence, load_transcript_pairs, load_word_alignment
 from multisimul.errors import EngineError
@@ -696,7 +697,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "run_simul", run_simul)
         # in-process, so that the runs append to this process's list
-        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 1)
+        monkeypatch.setattr(pool, "worker_count", lambda units: 1)
         config = _sweep_config(workspace, wer_grid="0.3:0.3", la_grid="2", seeds="1")
         assert main(["sweep", "--config", str(config), "--out-dir", str(workspace / "out")]) == 0
         assert any("</s>" in tokens for tokens in streamed)
@@ -838,7 +839,7 @@ class TestSweepPool:
         _write(workspace / "en.txt", [EN_LINES[0], "", *EN_LINES[2:]])
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_sweep_workers", lambda units, n=workers: n)
+            monkeypatch.setattr(pool, "worker_count", lambda units, n=workers: n)
             out_dir = workspace / f"out{workers}"
             assert self._sweep(workspace, out_dir) == 0
             assert multiprocessing.active_children() == []
@@ -857,7 +858,7 @@ class TestSweepPool:
             raise EngineError("engine broke")
 
         monkeypatch.setattr(cli, "run_simul", run_simul)
-        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda units: 2)
         assert self._sweep(workspace, workspace / "out") == 4
         err = capsys.readouterr().err
         assert "contract error: engine broke" in err
@@ -873,11 +874,11 @@ class TestSweepPool:
             return engine(translators, sources, n)
 
         monkeypatch.setattr(cli, "run_simul", run_simul)
-        monkeypatch.setattr(cli, "_sweep_workers", lambda units: 2)
+        monkeypatch.setattr(pool, "worker_count", lambda units: 2)
         out_dir = workspace / "out"
         assert self._sweep(workspace, out_dir) == 1
         err = capsys.readouterr().err
-        assert "error: a sweep worker ended without a result" in err
+        assert "error: a worker process ended without a result" in err
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
         assert multiprocessing.active_children() == []
@@ -890,10 +891,108 @@ class TestSweepPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert self._sweep(workspace, workspace / "out") == 0
 
-    @pytest.mark.parametrize("cpus, units, workers", [(4, 3, 3), (2, 24, 2), (1, 3, 1)])
-    def test_one_worker_per_cpu_and_unit(self, monkeypatch, cpus, units, workers):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert cli._sweep_workers([None] * units) == workers
+
+
+def _noisy(rng, words, vocab):
+    return [word if rng.random() > 0.2 else rng.choice(vocab) for word in words]
+
+
+def _analysis_argv(path, command, lines=600):
+    """``command`` on ``lines`` generated lines with errors in every system and
+    ASR stream: more sentence pairs than one contingency chunk holds."""
+    rng = random.Random(7)
+    vocab = [f"w{i}" for i in range(30)]
+    files = {name: [] for name in ("ref", "hyp", "other", *INDEPENDENCE_FILES)}
+    for _ in range(lines):
+        src, tgt = (rng.choices(vocab, k=rng.randint(2, 8)) for _ in range(2))
+        for name, words in (
+            ("ref", src), ("hyp", _noisy(rng, src, vocab)), ("other", _noisy(rng, src, vocab)),
+            ("src_gold", src), ("src_asr", _noisy(rng, src, vocab)),
+            ("tgt_gold", tgt), ("tgt_asr", _noisy(rng, tgt, vocab)),
+            ("align", [f"{k}-{k}" for k in range(min(len(src), len(tgt)))]),
+        ):
+            files[name].append(" ".join(words))
+    if command == "independence":
+        return _independence_argv(path, **{name: files[name] for name in INDEPENDENCE_FILES})
+    for name in ("ref", "hyp", "other"):
+        _write(path / f"{name}.txt", files[name])
+    argv = ["score", "--hyps", str(path / "hyp.txt"), "--refs", str(path / "ref.txt")]
+    return argv + (["--compare", str(path / "other.txt")] if command == "score-compare" else [])
+
+
+class TestAnalysisPool:
+    """score runs its metrics, and independence its chunks of sentence pairs,
+    in a process pool; its worker count changes no byte."""
+
+    @pytest.mark.parametrize("command", ["score", "score-compare", "independence"])
+    def test_worker_count_changes_no_byte(self, tmp_path, capsys, monkeypatch, command):
+        argv = _analysis_argv(tmp_path, command)
+        pools = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        printed = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda units, n=workers: n)
+            assert main(argv) == 0
+            assert multiprocessing.active_children() == []
+            printed[workers] = capsys.readouterr()
+            assert len(pools) == workers - 1
+        assert printed[1] == printed[2]
+        assert printed[1].err == ""
+        if command == "independence":  # every chunk's links are counted
+            align = (tmp_path / "align.txt").read_text(encoding="utf-8").split()
+            assert f"aligned_links\t{len(align)}\n" in printed[1].out
+
+    def test_link_out_of_range_in_second_chunk(self, tmp_path, capsys, monkeypatch):
+        argv = _analysis_argv(tmp_path, "independence")
+        align = (tmp_path / "align.txt").read_text(encoding="utf-8").splitlines()
+        chunk = independence._CONTINGENCY_CHUNK_PAIRS
+        for idx in (chunk + 44, 2 * chunk + 38):  # the second and the third chunk
+            align[idx] += " 0-99"
+        _write(tmp_path / "align.txt", align)
+        printed = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "worker_count", lambda units, n=workers: n)
+            assert main(argv) == 2
+            assert multiprocessing.active_children() == []
+            printed[workers] = capsys.readouterr()
+        assert printed[1] == printed[2]
+        assert printed[1].out == ""
+        assert printed[1].err.startswith(
+            f"input error: sentence {chunk + 44}: alignment link (0,99) out of range"
+        )
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("score", metrics, "bleu"),
+            ("score-compare", metrics, "paired_bootstrap"),
+            ("independence", independence, "align_edit"),
+        ],
+        ids=["score", "score-compare", "independence"],
+    )
+    def test_worker_that_dies_exit_code(self, tmp_path, capsys, monkeypatch, command, module, name):
+        argv = _analysis_argv(tmp_path, command)
+        parent, original = os.getpid(), getattr(module, name)
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, dies_in_worker)
+        monkeypatch.setattr(pool, "worker_count", lambda units: 2)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: a worker process ended without a result" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
 
 
 def _simulate(path, source=("en.txt",), lexicon=("lex_en.tsv",)):
